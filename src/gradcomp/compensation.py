@@ -65,15 +65,20 @@ class SchemeSpec:
 
 @dataclass
 class CompensationState:
-    """Per-node filter state: e_t and the two most recent residuals."""
+    """Filter state: e_t and the two most recent residuals.
+
+    One node holds (d,) vectors; a fleet of n nodes holds (n, d) arrays
+    with one row per node, and every function below then acts on all rows
+    at once, row by row exactly as it would on each node alone.
+    """
 
     e: np.ndarray
     delta_1: np.ndarray
     delta_2: np.ndarray
 
     @classmethod
-    def zeros(cls, dim: int) -> "CompensationState":
-        return cls(e=np.zeros(dim), delta_1=np.zeros(dim), delta_2=np.zeros(dim))
+    def zeros(cls, shape: int | tuple[int, ...]) -> "CompensationState":
+        return cls(e=np.zeros(shape), delta_1=np.zeros(shape), delta_2=np.zeros(shape))
 
 
 def scheme_coefficients(kind: str, alpha_t: float) -> tuple[float, float, float, float]:

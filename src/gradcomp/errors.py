@@ -19,11 +19,12 @@ class DivergenceError(RuntimeError):
     """Raised when the iterate escapes (non-finite values or norm blow-up).
 
     Carries the step index at which divergence was detected and the partial
-    trace accumulated up to (and excluding) that step, so callers can still
-    inspect how the run unravelled.
+    trace (a RunTrace) accumulated up to (and excluding) that step, so
+    callers can still inspect how the run unravelled.  trace is None when no
+    single run's trace describes the failure; message then says what did.
     """
 
-    def __init__(self, step: int, trace=None):
-        super().__init__(f"iterate diverged at step {step}")
+    def __init__(self, step: int, trace=None, message: str | None = None):
+        super().__init__(message or f"iterate diverged at step {step}")
         self.step = step
         self.trace = trace

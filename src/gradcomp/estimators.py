@@ -15,8 +15,10 @@ and differ only in the inner estimate a_t and in how alpha_t is scheduled:
     igt        a_t = grad at the extrapolated point
                x_t + ((1-alpha_t)/alpha_t)(x_t - x_prev)
 
-The gradient oracle is any callable grad(x, handle) -> vector; the handle
-pins the minibatch so storm's two evaluations see the same samples.
+The gradient oracle is any callable grad(x, sample) -> vector; the sample
+pins the minibatch so storm's two evaluations see the same samples.  It is
+a SampleHandle for problems.shard_sampler and the drawn dataset indices for
+a problem's own grad_at.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ SCHEDULE_KINDS = ("constant", "inverse_t", "inverse_linear", "power_two_thirds")
 def fixed_order_mean(vectors) -> np.ndarray:
     """Mean over a sequence of vectors with a fixed reduction order.
 
-    Stacking pins the summation tree, so the result does not depend on which
-    worker finished first; simulator and oracles both reduce this way.
+    Reducing row by row over an (n, d) array pins the summation tree, so the
+    result does not depend on which worker finished first; simulator and
+    oracles both reduce this way.  An array is reduced as is, anything else
+    is stacked into one first.
     """
-    stacked = np.stack(list(vectors), axis=0)
+    stacked = vectors if isinstance(vectors, np.ndarray) else np.stack(list(vectors), axis=0)
     return np.add.reduce(stacked, axis=0) / stacked.shape[0]
 
 
@@ -110,7 +114,7 @@ class Estimator:
         ):
             raise ConfigError("sgd runs with alpha fixed to 1; use momentum to average")
 
-    def eval_a(self, x_t: np.ndarray, sample: SampleHandle, alpha_t: float, grad) -> np.ndarray:
+    def eval_a(self, x_t: np.ndarray, sample, alpha_t: float, grad) -> np.ndarray:
         """Inner estimate a_t at x_t; pure given the oracle, reads x_prev only."""
         if alpha_t <= 0.0:
             raise ConfigError(f"alpha_t must be positive, got {alpha_t}")

@@ -45,7 +45,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -476,21 +475,13 @@ def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None) -> int:
             cells.append((f"gamma_{gamma:g}", {"gamma": gamma}))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one_cell(item):
-        label, overrides = item
+    summary: dict = {}
+    for label, overrides in cells:
         config = parse_run_config(_deep_merge(base, overrides), path=f"sweep.{label}")
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         trace, diverged_at = execute_run(config)
         write_metrics_csv(trace, out_dir / f"metrics_{label}.csv")
-        return label, trace, diverged_at
-
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        outcomes = list(pool.map(one_cell, cells))
-
-    summary: dict = {}
-    for label, trace, diverged_at in outcomes:
         summary[f"{label}.final_grad_norm_sq"] = trace.final_grad_norm_sq
         summary[f"{label}.diverged"] = diverged_at is not None
     write_summary(out_dir / "summary.txt", summary)
@@ -718,7 +709,9 @@ def figure1_experiment(
                 if diverged_at is None:
                     candidates.append((trace.final_grad_norm_sq, grid_gamma))
             if not candidates:
-                raise DivergenceError(0, "uncompressed control diverged at every grid step size")
+                raise DivergenceError(
+                    0, message=f"{estimator}: uncompressed control diverged at every grid step size"
+                )
             _, tuned_gamma = min(candidates)
         else:
             tuned_gamma = gamma

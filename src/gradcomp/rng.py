@@ -23,7 +23,6 @@ STREAM_DATA = 1        # synthetic dataset generation
 STREAM_PARTITION = 2   # assigning samples to workers
 STREAM_SAMPLE = 3      # minibatch index draws
 STREAM_COMPRESS = 4    # randomized compressor decisions
-STREAM_INIT = 5        # warm-start estimate at step zero
 
 
 def keyed_generator(seed: int, *key: int) -> np.random.Generator:

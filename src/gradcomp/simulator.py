@@ -20,10 +20,22 @@ when a_t = 1 or when the compressor is exact.
 
 The server broadcast is delivered identically to all workers, and every
 worker applies the same deterministic update, so a single stored copy of
-(x, v) stands in for the whole replicated fleet.  Worker message
-computations touch only worker-local state and keyed randomness, so their
-execution order cannot matter; aggregation always reduces in worker-index
-order.
+(x, v) stands in for the whole replicated fleet.
+
+The fleet's own state is held on a worker axis: the compensation state
+(e, delta_1, delta_2) is one CompensationState of (n, d) arrays, row i for
+worker i, and each step's estimates, messages and residuals are (n, d)
+arrays too.  A step runs one filter_update and one compensate for the
+whole fleet and reduces the aggregates straight from those arrays in
+worker-index order.  Each worker's minibatch, the one of handle
+(t, i, 0, seed), is drawn once per step, and storm and root_sgd evaluate
+both of their gradients on it.  Gradients (one grad_at per worker and
+evaluation) and compression (one compress per row) stay per worker, so
+each row is computed by the same float operations a lone worker would
+perform.  Row computations touch only that worker's state and keyed
+randomness, so their order cannot matter.  The residual buffer of step
+t-2 is dead once the filter has read it and is reused for step t's
+residuals.
 
 Step 0 is special: v_0 is a plain average of b0 stochastic gradients at x_0,
 communicated uncompressed, and x_1 = x_0 - gamma * v_0 happens before the
@@ -33,6 +45,7 @@ compressed loop starts.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +58,7 @@ from .compensation import (
     shift_deltas,
     transmits_weighted_increment,
 )
-from .compression import FLOAT_BITS, CompressionResult, CompressorSpec, compress, measured_epsilon, message_bits
+from .compression import FLOAT_BITS, CompressorSpec, compress, measured_epsilon, message_bits
 from .errors import ConfigError, DivergenceError
 from .estimators import AlphaSchedule, Estimator, fixed_order_mean, init_v0
 from .problems import (
@@ -55,6 +68,7 @@ from .problems import (
     full_grad,
     loss,
     make_problem,
+    minibatch_indices,
     partition_data,
     shard_sampler,
 )
@@ -85,6 +99,9 @@ class RunConfig:
     record_history: bool = False
 
     def __post_init__(self):
+        for name in ("gamma", "heterogeneity", "x0_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}")
         if self.topology == "single_worker" and self.n_workers != 1:
@@ -109,18 +126,6 @@ class RunConfig:
         if server.seed is None:
             server = dataclasses.replace(server, seed=self.seed)
         return worker, server
-
-
-@dataclass
-class WorkerState:
-    id: int
-    comp: CompensationState
-    shard: Shard
-
-
-@dataclass
-class ServerState:
-    comp: CompensationState
 
 
 @dataclass
@@ -166,22 +171,25 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One step's outcome; a_bar and e_bar only when the run records history."""
+
     x_next: np.ndarray
     v: np.ndarray
-    a_bar: np.ndarray
-    e_bar: np.ndarray
+    a_bar: np.ndarray | None
+    e_bar: np.ndarray | None
     delta_bar: np.ndarray
     worker_delta_mean: np.ndarray
     server_delta: np.ndarray
     bits: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Runtime:
     """Immutable-per-run context shared by every step."""
 
     problem: object
-    grad: object
+    shards: list[Shard]
+    salt: int
     worker_spec: CompressorSpec
     server_spec: CompressorSpec
     scheme: SchemeSpec
@@ -190,71 +198,53 @@ class Runtime:
     n: int
     dim: int
     gamma: float
-
-
-def worker_message(
-    t: int,
-    x_t: np.ndarray,
-    worker: WorkerState,
-    estimator: Estimator,
-    runtime: Runtime,
-    alphas: tuple[float, float, float],
-) -> tuple[np.ndarray, CompressionResult, np.ndarray]:
-    """One worker's half-step: filter, estimate, compensate, compress.
-
-    Touches only this worker's own state (plus keyed randomness), so calls
-    for different workers commute.
-    """
-    a_t, a_t1, a_t2 = alphas
-    e_t = filter_update(worker.comp, runtime.scheme.beta, a_t, a_t1, a_t2, runtime.scheme.kind)
-    estimate = estimator.eval_a(
-        x_t, SampleHandle(t=t, worker=worker.id, draw=0), a_t, runtime.grad
-    )
-    if transmits_weighted_increment(runtime.scheme.kind):
-        outgoing = a_t * estimate
-    else:
-        outgoing = estimate
-    result = compress(
-        compensate(outgoing, e_t), runtime.worker_spec, step=t, node_id=worker.id
-    )
-    shift_deltas(worker.comp, result.residual)
-    return estimate, result, e_t
+    record_history: bool
 
 
 def run_step(
     t: int,
     x_t: np.ndarray,
     estimator: Estimator,
-    workers: list[WorkerState],
-    server: ServerState,
+    workers: CompensationState,
+    server: CompensationState,
     runtime: Runtime,
 ) -> StepResult:
-    """Execute step t >= 1; returns the new iterate and step-level aggregates."""
+    """Execute step t >= 1; returns the new iterate and step-level aggregates.
+
+    workers holds the fleet's filter state as (n, d) arrays, row i for
+    worker i; server holds the server's as (d,) vectors.
+    """
     schedule = runtime.schedule
     alphas = (schedule.at(t), schedule.at(t - 1), schedule.at(t - 2))
     a_t = alphas[0]
+    kind = runtime.scheme.kind
+    weighted = transmits_weighted_increment(kind)
 
-    estimates = []
-    messages = []
-    worker_residuals = []
-    worker_errors = []
-    for worker in workers:
-        estimate, result, e_t = worker_message(t, x_t, worker, estimator, runtime, alphas)
-        estimates.append(estimate)
-        messages.append(result.compressed)
-        worker_residuals.append(result.residual)
-        worker_errors.append(e_t)
+    e_workers = filter_update(workers, runtime.scheme.beta, *alphas, kind)
+    # The residual buffer of step t-2 is dead once the filter has read it.
+    residuals = workers.delta_2
+    estimates = np.empty((runtime.n, runtime.dim))
+    for i, shard in enumerate(runtime.shards):
+        handle = SampleHandle(t=t, worker=i, salt=runtime.salt)
+        batch = minibatch_indices(runtime.problem, shard, handle)
+        estimates[i] = estimator.eval_a(x_t, batch, a_t, runtime.problem.grad_at)
+    a_bar = fixed_order_mean(estimates) if runtime.record_history else None
+    messages = compensate(a_t * estimates if weighted else estimates, e_workers)
+    del estimates  # one (n, d) array fewer alive while compressing
+    for i in range(runtime.n):
+        result = compress(messages[i], runtime.worker_spec, step=t, node_id=i)
+        messages[i] = result.compressed
+        residuals[i] = result.residual
+    shift_deltas(workers, residuals)
     averaged = fixed_order_mean(messages)
     bits = runtime.n * message_bits(runtime.worker_spec, runtime.dim)
 
     if runtime.topology == "double_compression":
-        e_srv = filter_update(
-            server.comp, runtime.scheme.beta, *alphas, runtime.scheme.kind
-        )
+        e_srv = filter_update(server, runtime.scheme.beta, *alphas, kind)
         server_result = compress(
             compensate(averaged, e_srv), runtime.server_spec, step=t, node_id=runtime.n
         )
-        shift_deltas(server.comp, server_result.residual)
+        shift_deltas(server, server_result.residual)
         broadcast = server_result.compressed
         server_delta = server_result.residual
         bits += message_bits(runtime.server_spec, runtime.dim)
@@ -268,17 +258,15 @@ def run_step(
             bits += runtime.dim * FLOAT_BITS
 
     estimator.advance(x_t)
-    v_t = estimator.update_v(
-        broadcast, a_t, weighted=transmits_weighted_increment(runtime.scheme.kind)
-    )
+    v_t = estimator.update_v(broadcast, a_t, weighted=weighted)
     x_next = x_t - runtime.gamma * v_t
 
-    worker_delta_mean = fixed_order_mean(worker_residuals)
+    worker_delta_mean = fixed_order_mean(residuals)
     return StepResult(
         x_next=x_next,
         v=v_t,
-        a_bar=fixed_order_mean(estimates),
-        e_bar=fixed_order_mean(worker_errors) + e_srv,
+        a_bar=a_bar,
+        e_bar=fixed_order_mean(e_workers) + e_srv if runtime.record_history else None,
         delta_bar=server_delta + worker_delta_mean,
         worker_delta_mean=worker_delta_mean,
         server_delta=server_delta,
@@ -397,11 +385,10 @@ def run(config: RunConfig) -> RunTrace:
     shards = partition_data(problem, n, config.problem.seed, config.heterogeneity)
     worker_spec, server_spec = config.resolved_compressors()
 
-    grad = shard_sampler(problem, shards, salt=config.seed)
-
     runtime = Runtime(
         problem=problem,
-        grad=grad,
+        shards=shards,
+        salt=config.seed,
         worker_spec=worker_spec,
         server_spec=server_spec,
         scheme=config.scheme,
@@ -410,15 +397,16 @@ def run(config: RunConfig) -> RunTrace:
         n=n,
         dim=dim,
         gamma=config.gamma,
+        record_history=config.record_history,
     )
 
     x0 = config.x0_scale * np.ones(dim)
     estimator = Estimator(kind=config.estimator, schedule=config.schedule, x_prev=x0)
-    v0 = init_v0(x0, config.b0, grad, n)
+    v0 = init_v0(x0, config.b0, shard_sampler(problem, shards, salt=config.seed), n)
     estimator.v = v0
 
-    workers = [WorkerState(id=i, comp=CompensationState.zeros(dim), shard=shards[i]) for i in range(n)]
-    server = ServerState(comp=CompensationState.zeros(dim))
+    workers = CompensationState.zeros((n, dim))
+    server = CompensationState.zeros(dim)
 
     recorder = _Recorder(config, problem, x0, v0)
     # Step 0: v0 travels uncompressed (worker contributions up, estimate down).

@@ -8,6 +8,7 @@ from gradcomp import (
     AlphaSchedule,
     CompressorSpec,
     ConfigError,
+    DivergenceError,
     ProblemSpec,
     RunConfig,
     SchemeSpec,
@@ -370,6 +371,44 @@ sweep:
     assert summary.count("final_grad_norm_sq") == 4
 
 
+def test_cli_sweep_cells_match_single_runs_byte_for_byte(tmp_path, capsys):
+    base = """
+    problem: {kind: lin_reg, dim: 4, n_samples: 32, batch_size: 2, seed: 1}
+    estimator: storm
+    scheme: {kind: two_step, beta: 0.3}
+    compressor: {kind: rand_k, k: 2}
+    n_workers: 3
+    steps: 15
+    seed: 4
+"""
+    config = write_config(tmp_path, "sweep:\n  base:" + base + "  gammas: [0.1, 0.01]\n  alphas: [1.0, 0.5]\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    summary = []
+    for gamma in (0.1, 0.01):
+        for alpha in (1.0, 0.5):
+            label = f"gamma_{gamma:g}_alpha_{alpha:g}"
+            cell = (
+                "run:" + base + f"    gamma: {gamma}\n"
+                f"    schedule: {{kind: constant, alpha: {alpha}}}\n"
+            )
+            single = tmp_path / label
+            assert main(["run", "--config", write_config(tmp_path, cell, f"{label}.yaml"),
+                         "--out", str(single)]) == 0
+            capsys.readouterr()
+            assert (out / f"metrics_{label}.csv").read_bytes() == (single / "metrics.csv").read_bytes()
+            run_summary = dict(
+                line.split(" ", 1) for line in (single / "summary.txt").read_text().splitlines()
+            )
+            summary += [
+                f"{label}.final_grad_norm_sq {run_summary['final_grad_norm_sq']}",
+                f"{label}.diverged {run_summary['diverged']}",
+            ]
+    assert (out / "summary.txt").read_text() == "\n".join(summary) + "\n"
+
+
 def test_cli_sweep_rejects_two_schedule_axes(tmp_path):
     config = write_config(
         tmp_path,
@@ -403,6 +442,14 @@ def test_figure_experiment_structure():
     control = block["identity_control"]
     assert not control["diverged"]
     assert abs(control["log10_grad_gap"]) < 1e-9
+
+
+def test_figure_experiment_reports_a_diverged_grid_without_a_trace():
+    problem = ProblemSpec(kind="quadratic", spectrum=(1e6, 1e6))
+    with pytest.raises(DivergenceError) as excinfo:
+        figure1_experiment(estimators=("momentum",), steps=20, seed=1, problem=problem)
+    assert excinfo.value.trace is None
+    assert "uncompressed control diverged at every grid step size" in str(excinfo.value)
 
 
 def test_figure_experiment_grid_search_picks_from_the_grid():

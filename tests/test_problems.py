@@ -254,6 +254,22 @@ def test_shard_sampler_stamps_its_salt():
     assert not np.array_equal(salted(x, handle), unsalted(x, handle))
 
 
+def test_minibatch_positions_are_uniform_over_an_odd_sized_shard():
+    size, per_handle = 37, 400
+    problem = make_problem(
+        ProblemSpec(kind="lin_reg", dim=2, n_samples=size, batch_size=per_handle, seed=11)
+    )
+    shard = partition_data(problem, 1, seed=11)[0]
+    draws = np.concatenate(
+        [minibatch_indices(problem, shard, SampleHandle(t=t, worker=0)) for t in range(size)]
+    )
+    counts = np.bincount(draws, minlength=size)
+    expected = draws.size / size
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    # 99.9% quantile of the chi-square distribution with size - 1 = 36 degrees of freedom.
+    assert statistic < 67.985
+
+
 def test_empty_shard_is_rejected():
     problem = make_problem(LIN)
     empty = Shard(worker=0, indices=np.empty(0, dtype=np.int64))

@@ -53,6 +53,13 @@ def test_config_validation():
         RunConfig(problem=QUAD2, seed=-1)
 
 
+@pytest.mark.parametrize("field", ["gamma", "heterogeneity", "x0_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_config_values_are_rejected_by_name(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(problem=QUAD2, **{field: value})
+
+
 def test_compressor_seeds_inherit_the_run_seed():
     config = RunConfig(
         problem=QUAD2,
