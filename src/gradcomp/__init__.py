@@ -29,7 +29,7 @@ from .compression import (
     message_bits,
 )
 from .errors import ConfigError, DivergenceError, EmptyTraceError, VerificationError
-from .estimators import AlphaSchedule, Estimator, alpha, fixed_order_mean, init_v0
+from .estimators import AlphaSchedule, Estimator, fixed_order_mean, init_v0
 from .harness import figure1_experiment, main, verify_suite, write_metrics_csv
 from .oracle import (
     GhostTrace,
@@ -57,8 +57,6 @@ from .problems import (
     partition_data,
     shard_full_grad,
     shard_sampler,
-    smoothness_L,
-    smoothness_L_sample,
     stoch_grad,
     variance_sigma2,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "SchemeSpec",
     "Shard",
     "VerificationError",
-    "alpha",
     "coefficient_form_run",
     "compensate",
     "compress",
@@ -111,8 +108,6 @@ __all__ = [
     "shard_full_grad",
     "shard_sampler",
     "shift_deltas",
-    "smoothness_L",
-    "smoothness_L_sample",
     "stoch_grad",
     "transmits_weighted_increment",
     "u_hat_run",

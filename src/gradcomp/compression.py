@@ -23,7 +23,7 @@ compressed magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +53,9 @@ class CompressorSpec:
     """
 
     kind: str
-    k: int = 1
-    levels: int = 1
-    rescale: bool = True
+    k: int = field(default=1, metadata={"kinds": ("top_k", "rand_k")})
+    levels: int = field(default=1, metadata={"kinds": ("stoch_quant",)})
+    rescale: bool = field(default=True, metadata={"kinds": ("rand_k",)})
     seed: int | None = None
 
     def __post_init__(self):

@@ -23,7 +23,7 @@ a problem's own grad_at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class AlphaSchedule:
     """
 
     kind: str = "constant"
-    alpha: float = 1.0
-    c0: float = 0.05
-    horizon: int = 1
+    alpha: float = field(default=1.0, metadata={"kinds": ("constant",)})
+    c0: float = field(default=0.05, metadata={"kinds": ("inverse_linear",)})
+    horizon: int = field(default=1, metadata={"kinds": ("power_two_thirds",)})
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -90,11 +90,6 @@ class AlphaSchedule:
 
     def is_constant(self) -> bool:
         return self.kind in ("constant", "power_two_thirds")
-
-
-def alpha(schedule: AlphaSchedule, t: int) -> float:
-    """Schedule value alpha_t; total for all t >= -1."""
-    return schedule.at(t)
 
 
 @dataclass

@@ -218,13 +218,6 @@ class SchemeComparison:
         vals = [self.sums[k] for k in have]
         return all(a < b for a, b in zip(vals, vals[1:]))
 
-    def ecx_sum_bound_ok(self) -> bool:
-        """Sum form of the non-accumulation bound: sum <= gamma^2 eps_hat^2."""
-        if "two_step" not in self.sums:
-            return False
-        bound = self.gamma**2 * self.eps_hat["two_step"] ** 2
-        return self.sums["two_step"] <= bound
-
     def ecx_per_step_bound_ok(self, slack: float = 2.0) -> bool:
         """Per-step non-accumulation: every gap <= slack * gamma * eps_hat."""
         if "two_step" not in self.per_step_max:

@@ -18,7 +18,7 @@ the same sample at two iterates).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .errors import ConfigError
 from .rng import STREAM_DATA, STREAM_PARTITION, STREAM_SAMPLE, keyed_generator
 
 KINDS = ("quadratic", "lin_reg", "log_reg")
+# The kinds that generate a dataset; quadratic has none.
+_DATASET = {"kinds": ("lin_reg", "log_reg")}
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,12 @@ class ProblemSpec:
     """
 
     kind: str
-    spectrum: tuple = ()
-    dim: int = 0
-    n_samples: int = 0
-    noise_std: float = 0.0
-    l2_reg: float = 0.0
-    condition: float = 10.0
+    spectrum: tuple[float, ...] = field(default=(), metadata={"kinds": ("quadratic",)})
+    dim: int = field(default=0, metadata=_DATASET)
+    n_samples: int = field(default=0, metadata=_DATASET)
+    noise_std: float = field(default=0.0, metadata={"kinds": ("lin_reg",)})
+    l2_reg: float = field(default=0.0, metadata={"kinds": ("log_reg",)})
+    condition: float = field(default=10.0, metadata=_DATASET)
     batch_size: int = 1
     seed: int = 0
 
@@ -256,16 +258,6 @@ def loss(problem, x) -> float:
 
 def full_grad(problem, x) -> np.ndarray:
     return problem.full_grad(np.asarray(x, dtype=np.float64))
-
-
-def smoothness_L(problem) -> float:
-    """Lipschitz constant of the mean-loss gradient (exact where closed form exists)."""
-    return problem.smoothness()
-
-
-def smoothness_L_sample(problem) -> float:
-    """Worst per-sample gradient Lipschitz constant (>= smoothness_L)."""
-    return problem.smoothness_per_sample()
 
 
 def minibatch_indices(problem, shard: Shard, handle: SampleHandle) -> np.ndarray:

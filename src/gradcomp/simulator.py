@@ -96,7 +96,7 @@ class RunConfig:
     seed: int = 0
     heterogeneity: float = 0.0
     x0_scale: float = 1.0
-    record_history: bool = False
+    record_history: bool = field(default=False, metadata={"key": "record_ghost"})
 
     def __post_init__(self):
         for name in ("gamma", "heterogeneity", "x0_scale"):

@@ -26,7 +26,6 @@ from gradcomp import (
     residual_sum_comparison,
     run,
     scheme_coefficients,
-    smoothness_L,
     uncompressed_reference,
     variance_sigma2,
     verify_residual_identity,
@@ -419,7 +418,7 @@ def test_criterion_09_rate_trend():
     start = time.perf_counter()
     alpha_c = 0.9
     problem = make_problem(DEFAULT_LIN)
-    smooth_l = smoothness_L(problem)
+    smooth_l = problem.smoothness()
     shard = partition_data(problem, 1, DEFAULT_LIN.seed)[0]
     sigma2 = variance_sigma2(problem, shard, np.ones(DEFAULT_LIN.dim), trials=4096)
 

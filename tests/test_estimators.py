@@ -15,7 +15,6 @@ from gradcomp import (
     ConfigError,
     Estimator,
     SampleHandle,
-    alpha,
     fixed_order_mean,
     init_v0,
 )
@@ -81,11 +80,6 @@ def test_decaying_schedules_extend_flat_before_step_one():
         assert sched.at(-1) == sched.at(0) == sched.at(1)
     with pytest.raises(ConfigError):
         AlphaSchedule(kind="inverse_t").at(-2)
-
-
-def test_alpha_helper_matches_method():
-    sched = AlphaSchedule(kind="inverse_t")
-    assert alpha(sched, 4) == sched.at(4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,19 @@
 """Harness tests: config parsing, CSV emission, CLI exit codes, sweeps."""
 
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gradcomp
 from gradcomp import harness
 from gradcomp import (
     AlphaSchedule,
@@ -15,11 +26,11 @@ from gradcomp import (
     run,
 )
 from gradcomp.harness import (
+    encode,
     figure1_experiment,
     load_config_file,
     main,
     parse_run_config,
-    run_config_to_mapping,
     serialize_config,
     write_metrics_csv,
     write_summary,
@@ -116,15 +127,112 @@ def test_config_round_trip_is_idempotent():
         "gamma": 0.5,
         "seed": 4,
     }
-    once = serialize_config(run_config_to_mapping(parse_run_config(mapping)))
-    twice = serialize_config(run_config_to_mapping(parse_run_config(load_yaml_text(once))))
+    once = serialize_config(encode(parse_run_config(mapping)))
+    twice = serialize_config(encode(parse_run_config(yaml.safe_load(once))))
     assert once == twice
 
 
-def load_yaml_text(text):
-    import yaml
+def _number(low, high):
+    """A float field's YAML value: an int or a float, since both decode to float."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
 
-    return yaml.safe_load(text)
+
+@st.composite
+def compressor_mappings(draw):
+    kind = draw(st.sampled_from(["one_bit", "top_k", "rand_k", "stoch_quant", "identity"]))
+    mapping = {"kind": kind}
+    if kind in ("top_k", "rand_k"):
+        mapping["k"] = draw(st.integers(1, 8))
+    if kind == "rand_k":
+        mapping["rescale"] = draw(st.booleans())
+    if kind == "stoch_quant":
+        mapping["levels"] = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        mapping["seed"] = draw(st.integers(0, 99))
+    return mapping
+
+
+@st.composite
+def run_mappings(draw):
+    """A valid run mapping, with every field given."""
+    kind = draw(st.sampled_from(["quadratic", "lin_reg", "log_reg"]))
+    problem = {"kind": kind, "batch_size": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 9))}
+    if kind == "quadratic":
+        problem["spectrum"] = draw(st.lists(_number(0.0, 10.0), min_size=1, max_size=4))
+    else:
+        dim = draw(st.integers(1, 8))
+        problem.update(dim=dim, n_samples=dim + draw(st.integers(0, 50)), condition=draw(_number(1.0, 100.0)))
+        problem["noise_std" if kind == "lin_reg" else "l2_reg"] = draw(_number(0.0, 1.0))
+    schedule = {"kind": draw(st.sampled_from(["constant", "inverse_t", "inverse_linear", "power_two_thirds"]))}
+    if schedule["kind"] == "constant":
+        schedule["alpha"] = draw(st.floats(0.01, 1.0))
+    elif schedule["kind"] == "inverse_linear":
+        schedule["c0"] = draw(_number(0.01, 10.0))
+    elif schedule["kind"] == "power_two_thirds":
+        schedule["horizon"] = draw(st.integers(1, 10_000))
+    topology = draw(st.sampled_from(["double_compression", "single_round", "single_worker"]))
+    mapping = {
+        "problem": problem,
+        "estimator": draw(st.sampled_from(["momentum", "storm", "root_sgd", "igt"])),
+        "schedule": schedule,
+        "scheme": {"kind": draw(st.sampled_from(["none", "single", "two_step"])),
+                   "beta": draw(st.floats(0.01, 1.0))},
+        "compressor": draw(compressor_mappings()),
+        "topology": topology,
+        "n_workers": 1 if topology == "single_worker" else draw(st.integers(1, 16)),
+        "steps": draw(st.integers(1, 10_000)),
+        "gamma": draw(_number(0.0, 1.0)),
+        "b0": draw(st.integers(1, 16)),
+        "seed": draw(st.integers(0, 99)),
+        "heterogeneity": draw(_number(0.0, 1.0)),
+        "x0_scale": draw(_number(0.0, 2.0)),
+        "record_ghost": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        mapping["server_compressor"] = draw(compressor_mappings())
+    return mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_mappings())
+def test_codec_decodes_like_the_constructors_and_round_trips(mapping):
+    config = parse_run_config(mapping)
+    problem = dict(mapping["problem"], spectrum=tuple(mapping["problem"].get("spectrum", ())))
+    server = mapping.get("server_compressor")
+    direct = RunConfig(
+        problem=ProblemSpec(**problem),
+        schedule=AlphaSchedule(**mapping["schedule"]),
+        scheme=SchemeSpec(**mapping["scheme"]),
+        compressor=CompressorSpec(**mapping["compressor"]),
+        server_compressor=None if server is None else CompressorSpec(**server),
+        record_history=mapping["record_ghost"],
+        **{k: v for k, v in mapping.items()
+           if k not in ("problem", "schedule", "scheme", "compressor", "server_compressor", "record_ghost")},
+    )
+    assert config == direct
+    once = serialize_config(encode(config))
+    assert serialize_config(encode(parse_run_config(yaml.safe_load(once)))) == once
+
+
+@pytest.mark.parametrize(
+    "mapping, path",
+    [
+        ({"steps": 2.7}, "run.steps"),
+        ({"n_workers": True}, "run.n_workers"),
+        ({"record_ghost": "false"}, "run.record_ghost"),
+        ({"gamma": "0.1"}, "run.gamma"),
+        ({"gamma": 10**400}, "run.gamma"),
+        ({"compressor": {"kind": "top_k", "k": 2.0}}, "run.compressor.k"),
+        ({"compressor": {"kind": "rand_k", "k": 2, "rescale": "no"}}, "run.compressor.rescale"),
+        ({"problem": {"kind": "quadratic", "spectrum": "abc"}}, "run.problem.spectrum"),
+        ({"problem": {"kind": "lin_reg", "dim": 2, "n_samples": 4, "batch_size": 1.5}},
+         "run.problem.batch_size"),
+        ({"schedule": {"kind": "power_two_thirds", "horizon": 2.5}}, "run.schedule.horizon"),
+    ],
+)
+def test_mistyped_values_are_rejected_by_dotted_path(mapping, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_run_config(mapping)
 
 
 def test_load_config_file_errors(tmp_path):
@@ -242,7 +350,7 @@ def test_cli_record_ghost_adds_the_column(tmp_path):
     assert "ghost_residual_norm" in header
 
 
-def test_cli_config_errors_exit_one(tmp_path):
+def test_cli_config_errors_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert main(["run", "--config", missing, "--out", str(tmp_path / "o")]) == 1
 
@@ -254,6 +362,34 @@ def test_cli_config_errors_exit_one(tmp_path):
 
     no_out = write_config(tmp_path, QUAD_RUN, name="noout.yaml")
     assert main(["run", "--config", no_out]) == 1
+    capsys.readouterr()
+
+    mistyped = {
+        "run.compressor.k": ("run", QUAD_RUN.replace("{kind: one_bit}", "{kind: top_k, k: 2.0}")),
+        "run.compressor.rescale": (
+            "run", QUAD_RUN.replace("{kind: one_bit}", "{kind: rand_k, k: 1, rescale: \"no\"}")),
+        "sweep.gammas": ("sweep", "sweep: {base: {steps: 2}, gammas: 0.1}\n"),
+        "sweep.gammas[0]": ("sweep", "sweep: {base: {steps: 2}, gammas: [fast]}\n"),
+    }
+    for i, (path, (command, text)) in enumerate(mistyped.items()):
+        config = write_config(tmp_path, text, name=f"mistyped{i}.yaml")
+        assert main([command, "--config", config, "--out", str(tmp_path / f"m{i}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
+        assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_a_config(tmp_path):
+    config = write_config(tmp_path, QUAD_RUN)
+    src = str(Path(gradcomp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradcomp", "run", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_cli_divergence_exit_codes(tmp_path):

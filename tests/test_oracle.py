@@ -25,7 +25,6 @@ from gradcomp import (
     residual_sum_comparison,
     run,
     scheme_coefficients,
-    smoothness_L,
     u_hat_run,
     uncompressed_reference,
     variance_sigma2,
@@ -284,7 +283,7 @@ def test_diagnostic_warns_on_oversized_steps():
     ghost = ghost_run(trace)
     u_hat = u_hat_run(trace)
     problem = make_problem(LIN)
-    smooth_l = smoothness_L(problem)
+    smooth_l = problem.smoothness()
     with pytest.warns(UserWarning):
         diagnostic_At(ghost, u_hat, problem, smooth_l, gamma=2.0 / smooth_l)
     with pytest.raises(ConfigError):
@@ -297,7 +296,7 @@ def test_descent_diagnostic_trend_under_a_safe_step_size():
     (17/3) gamma L sigma2, even with a 3x allowance."""
     alpha_c = 0.9
     problem = make_problem(LIN)
-    smooth_l = smoothness_L(problem)
+    smooth_l = problem.smoothness()
     gamma = alpha_c / (12.0 * smooth_l)
     config = RunConfig(
         problem=LIN,

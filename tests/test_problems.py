@@ -17,8 +17,6 @@ from gradcomp import (
     partition_data,
     shard_full_grad,
     shard_sampler,
-    smoothness_L,
-    smoothness_L_sample,
     stoch_grad,
     variance_sigma2,
 )
@@ -91,7 +89,7 @@ def test_quadratic_closed_forms():
     assert np.array_equal(full_grad(problem, x), problem.h * x)
     assert np.array_equal(problem.minimizer(), np.zeros(4))
     assert problem.f_star() == 0.0
-    assert smoothness_L(problem) == 4.0
+    assert problem.smoothness() == 4.0
 
 
 def test_lin_reg_gram_spectrum_is_designed():
@@ -100,7 +98,7 @@ def test_lin_reg_gram_spectrum_is_designed():
     eigs = np.sort(np.linalg.eigvalsh(gram))[::-1]
     expected = np.geomspace(1.0, 1.0 / LIN.condition, LIN.dim)
     assert np.allclose(eigs, expected, atol=1e-9)
-    assert smoothness_L(problem) == pytest.approx(1.0, abs=1e-9)
+    assert problem.smoothness() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lin_reg_minimizer_zeroes_the_gradient():
@@ -124,7 +122,7 @@ def test_log_reg_labels_are_signs_and_loss_is_regularized():
 @pytest.mark.parametrize("spec", [LIN, LOG], ids=["lin_reg", "log_reg"])
 def test_per_sample_smoothness_dominates_mean_smoothness(spec):
     problem = make_problem(spec)
-    assert smoothness_L_sample(problem) >= smoothness_L(problem)
+    assert problem.smoothness_per_sample() >= problem.smoothness()
 
 
 def test_same_spec_rebuilds_the_same_dataset():
