@@ -398,6 +398,9 @@ def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None) -> int:
     section = decode(SweepSection, _section(config_mapping, "sweep"), "sweep")
     if section.c0s is not None and section.alphas is not None:
         raise ConfigError("sweep: give either c0s or alphas, not both")
+    for axis in ("gammas", "alphas", "c0s"):
+        if getattr(section, axis) == ():
+            raise ConfigError(f"sweep.{axis}: need at least one value")
 
     cells = []
     for gamma in section.gammas:
@@ -416,8 +419,7 @@ def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None) -> int:
     summary: dict = {}
     for label, overrides in cells:
         config = _configure(_deep_merge(section.base, overrides), f"sweep.{label}", seed)
-        trace, diverged_at = execute_run(config)
-        write_metrics_csv(trace, out_dir / f"metrics_{label}.csv")
+        trace, diverged_at = _run_and_record(config, out_dir / f"metrics_{label}.csv")
         summary[f"{label}.final_grad_norm_sq"] = trace.final_grad_norm_sq
         summary[f"{label}.diverged"] = diverged_at is not None
     write_summary(out_dir / "summary.txt", summary)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .rng import STREAM_DATA, STREAM_PARTITION, STREAM_SAMPLE, keyed_generator
+from .rng import STREAM_DATA, STREAM_PARTITION, STREAM_SAMPLE, keyed_generator, keyed_integers
 
 KINDS = ("quadratic", "lin_reg", "log_reg")
 # The kinds that generate a dataset; quadratic has none.
@@ -271,6 +271,30 @@ def minibatch_indices(problem, shard: Shard, handle: SampleHandle) -> np.ndarray
     )
     pos = rng.integers(0, shard.indices.size, size=problem.spec.batch_size)
     return shard.indices[pos]
+
+
+def fleet_minibatches(problem, shards: list[Shard], t0: int, t1: int, salt: int = 0) -> np.ndarray:
+    """Minibatches of handles (t, i, 0, salt) for t0 <= t < t1, as (t1 - t0, n, batch).
+
+    Entry [t - t0, i] equals minibatch_indices(problem, shards[i],
+    SampleHandle(t, i, 0, salt)) bit for bit; keyed_integers draws the
+    whole block at once.
+    """
+    steps, n = t1 - t0, len(shards)
+    if problem.n_samples == 0:
+        return np.empty((steps, n, 0), dtype=np.int64)
+    for shard in shards:
+        if shard.size() == 0:
+            raise ConfigError(f"worker {shard.worker} has an empty shard")
+    keys = np.empty((steps, n, 5), dtype=np.int64 if salt < 2**63 else object)
+    keys[...] = (STREAM_SAMPLE, 0, 0, 0, salt)
+    keys[..., 1] = np.arange(t0, t1)[:, None]
+    keys[..., 2] = np.arange(n)
+    sizes = np.tile([shard.size() for shard in shards], steps)
+    batch = problem.spec.batch_size
+    pos = keyed_integers(problem.spec.seed, keys.reshape(-1, 5), sizes, batch)
+    pos = pos.reshape(steps, n, batch)
+    return np.stack([shard.indices[pos[:, i]] for i, shard in enumerate(shards)], axis=1)
 
 
 def stoch_grad(problem, shard: Shard, x, handle: SampleHandle) -> np.ndarray:

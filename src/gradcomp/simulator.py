@@ -27,15 +27,18 @@ The fleet's own state is held on a worker axis: the compensation state
 worker i, and each step's estimates, messages and residuals are (n, d)
 arrays too.  A step runs one filter_update and one compensate for the
 whole fleet and reduces the aggregates straight from those arrays in
-worker-index order.  Each worker's minibatch, the one of handle
-(t, i, 0, seed), is drawn once per step, and storm and root_sgd evaluate
-both of their gradients on it.  Gradients (one grad_at per worker and
-evaluation) and compression (one compress per row) stay per worker, so
-each row is computed by the same float operations a lone worker would
-perform.  Row computations touch only that worker's state and keyed
-randomness, so their order cannot matter.  The residual buffer of step
-t-2 is dead once the filter has read it and is reused for step t's
-residuals.
+worker-index order.  Each worker's minibatch is the one of handle
+(t, i, 0, seed), and storm and root_sgd evaluate both of their gradients
+on it.  run draws the minibatches of a block of steps for the whole fleet
+in one fleet_minibatches call and hands each step its (n, batch) rows.  A
+block holds at most SAMPLE_BLOCK indices (but at least one step), so its
+memory is bounded for any batch size, and it reproduces the per-handle
+draws bit for bit.  Gradients (one grad_at per worker and evaluation)
+and compression (one compress per row) stay per worker, so each row is
+computed by the same float operations a lone worker would perform.  Row
+computations touch only that worker's state and keyed randomness, so
+their order cannot matter.  The residual buffer of step t-2 is dead once
+the filter has read it and is reused for step t's residuals.
 
 Step 0 is special: v_0 is a plain average of b0 stochastic gradients at x_0,
 communicated uncompressed, and x_1 = x_0 - gamma * v_0 happens before the
@@ -63,12 +66,10 @@ from .errors import ConfigError, DivergenceError
 from .estimators import AlphaSchedule, Estimator, fixed_order_mean, init_v0
 from .problems import (
     ProblemSpec,
-    SampleHandle,
-    Shard,
+    fleet_minibatches,
     full_grad,
     loss,
     make_problem,
-    minibatch_indices,
     partition_data,
     shard_sampler,
 )
@@ -76,6 +77,8 @@ from .problems import (
 TOPOLOGIES = ("double_compression", "single_round", "single_worker")
 
 DIVERGENCE_NORM = 1e12
+# Most minibatch indices drawn per fleet_minibatches call (at least one step).
+SAMPLE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,6 @@ class Runtime:
     """Immutable-per-run context shared by every step."""
 
     problem: object
-    shards: list[Shard]
-    salt: int
     worker_spec: CompressorSpec
     server_spec: CompressorSpec
     scheme: SchemeSpec
@@ -208,11 +209,13 @@ def run_step(
     workers: CompensationState,
     server: CompensationState,
     runtime: Runtime,
+    batches: np.ndarray,
 ) -> StepResult:
     """Execute step t >= 1; returns the new iterate and step-level aggregates.
 
     workers holds the fleet's filter state as (n, d) arrays, row i for
-    worker i; server holds the server's as (d,) vectors.
+    worker i; server holds the server's as (d,) vectors.  Row i of batches
+    holds worker i's minibatch indices for this step.
     """
     schedule = runtime.schedule
     alphas = (schedule.at(t), schedule.at(t - 1), schedule.at(t - 2))
@@ -224,10 +227,8 @@ def run_step(
     # The residual buffer of step t-2 is dead once the filter has read it.
     residuals = workers.delta_2
     estimates = np.empty((runtime.n, runtime.dim))
-    for i, shard in enumerate(runtime.shards):
-        handle = SampleHandle(t=t, worker=i, salt=runtime.salt)
-        batch = minibatch_indices(runtime.problem, shard, handle)
-        estimates[i] = estimator.eval_a(x_t, batch, a_t, runtime.problem.grad_at)
+    for i in range(runtime.n):
+        estimates[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
     a_bar = fixed_order_mean(estimates) if runtime.record_history else None
     messages = compensate(a_t * estimates if weighted else estimates, e_workers)
     del estimates  # one (n, d) array fewer alive while compressing
@@ -387,8 +388,6 @@ def run(config: RunConfig) -> RunTrace:
 
     runtime = Runtime(
         problem=problem,
-        shards=shards,
-        salt=config.seed,
         worker_spec=worker_spec,
         server_spec=server_spec,
         scheme=config.scheme,
@@ -417,8 +416,13 @@ def run(config: RunConfig) -> RunTrace:
     x = x0 - config.gamma * v0
     _check_finite(0, x, v0, lambda: recorder.build(x))
 
+    block_steps = max(1, SAMPLE_BLOCK // (n * config.problem.batch_size))
     for t in range(1, config.steps):
-        result = run_step(t, x, estimator, workers, server, runtime)
+        offset = (t - 1) % block_steps
+        if offset == 0:
+            t_end = min(t + block_steps, config.steps)
+            block = fleet_minibatches(problem, shards, t, t_end, config.seed)
+        result = run_step(t, x, estimator, workers, server, runtime, block[offset])
         recorder.record(
             t,
             x,

@@ -378,6 +378,14 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         assert err.startswith(f"config error: {path}:")
         assert "Traceback" not in err
 
+    # An empty sweep axis would run no cell at all.
+    for i, axis in enumerate(("gammas", "alphas", "c0s")):
+        config = write_config(tmp_path, f"sweep: {{base: {{steps: 2}}, {axis}: []}}\n", f"empty{i}.yaml")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / f"e{i}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep.{axis}:")
+        assert "Traceback" not in err
+
 
 def test_module_entry_point_runs_a_config(tmp_path):
     config = write_config(tmp_path, QUAD_RUN)
@@ -508,7 +516,7 @@ sweep:
 
 
 def test_cli_sweep_cells_match_single_runs_byte_for_byte(tmp_path, capsys):
-    base = """
+    plain = """
     problem: {kind: lin_reg, dim: 4, n_samples: 32, batch_size: 2, seed: 1}
     estimator: storm
     scheme: {kind: two_step, beta: 0.3}
@@ -517,32 +525,42 @@ def test_cli_sweep_cells_match_single_runs_byte_for_byte(tmp_path, capsys):
     steps: 15
     seed: 4
 """
-    config = write_config(tmp_path, "sweep:\n  base:" + base + "  gammas: [0.1, 0.01]\n  alphas: [1.0, 0.5]\n")
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
-    capsys.readouterr()
+    # With record_ghost in the base, every cell must carry the ghost column
+    # that run --record-ghost writes.
+    for ghost, base in ((False, plain), (True, plain + "    record_ghost: true\n")):
+        root = tmp_path / f"ghost_{ghost}"
+        root.mkdir()
+        config = write_config(
+            root, "sweep:\n  base:" + base + "  gammas: [0.1, 0.01]\n  alphas: [1.0, 0.5]\n"
+        )
+        out = root / "sweep"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
 
-    summary = []
-    for gamma in (0.1, 0.01):
-        for alpha in (1.0, 0.5):
-            label = f"gamma_{gamma:g}_alpha_{alpha:g}"
-            cell = (
-                "run:" + base + f"    gamma: {gamma}\n"
-                f"    schedule: {{kind: constant, alpha: {alpha}}}\n"
-            )
-            single = tmp_path / label
-            assert main(["run", "--config", write_config(tmp_path, cell, f"{label}.yaml"),
-                         "--out", str(single)]) == 0
-            capsys.readouterr()
-            assert (out / f"metrics_{label}.csv").read_bytes() == (single / "metrics.csv").read_bytes()
-            run_summary = dict(
-                line.split(" ", 1) for line in (single / "summary.txt").read_text().splitlines()
-            )
-            summary += [
-                f"{label}.final_grad_norm_sq {run_summary['final_grad_norm_sq']}",
-                f"{label}.diverged {run_summary['diverged']}",
-            ]
-    assert (out / "summary.txt").read_text() == "\n".join(summary) + "\n"
+        summary = []
+        for gamma in (0.1, 0.01):
+            for alpha in (1.0, 0.5):
+                label = f"gamma_{gamma:g}_alpha_{alpha:g}"
+                cell = (
+                    "run:" + plain + f"    gamma: {gamma}\n"
+                    f"    schedule: {{kind: constant, alpha: {alpha}}}\n"
+                )
+                single = root / label
+                flags = ["--record-ghost"] if ghost else []
+                assert main(["run", "--config", write_config(root, cell, f"{label}.yaml"),
+                             "--out", str(single)] + flags) == 0
+                capsys.readouterr()
+                csv = (out / f"metrics_{label}.csv").read_bytes()
+                assert csv == (single / "metrics.csv").read_bytes()
+                assert (b"ghost_residual_norm" in csv.splitlines()[0]) == ghost
+                run_summary = dict(
+                    line.split(" ", 1) for line in (single / "summary.txt").read_text().splitlines()
+                )
+                summary += [
+                    f"{label}.final_grad_norm_sq {run_summary['final_grad_norm_sq']}",
+                    f"{label}.diverged {run_summary['diverged']}",
+                ]
+        assert (out / "summary.txt").read_text() == "\n".join(summary) + "\n"
 
 
 def test_cli_sweep_rejects_two_schedule_axes(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from gradcomp import (
     ConfigError,
     ProblemSpec,
+    RunConfig,
     SampleHandle,
     Shard,
     export_dataset,
@@ -15,11 +16,14 @@ from gradcomp import (
     make_problem,
     minibatch_indices,
     partition_data,
+    run,
     shard_full_grad,
     shard_sampler,
     stoch_grad,
     variance_sigma2,
 )
+from gradcomp import simulator
+from gradcomp.problems import fleet_minibatches
 
 QUAD = ProblemSpec(kind="quadratic", spectrum=(0.5, 1.0, 2.0, 4.0))
 LIN = ProblemSpec(kind="lin_reg", dim=6, n_samples=48, noise_std=0.1, condition=10.0, seed=3)
@@ -275,6 +279,36 @@ def test_empty_shard_is_rejected():
         minibatch_indices(problem, empty, SampleHandle(t=0, worker=0))
     with pytest.raises(ConfigError):
         shard_full_grad(problem, empty, np.ones(6))
+
+
+def test_fleet_minibatches_match_the_per_handle_draws_across_blocks(monkeypatch):
+    # 3 workers x 8000 indices per step: SAMPLE_BLOCK holds 2 steps, so the
+    # 6 protocol steps of this run are drawn in 3 blocks.
+    spec = ProblemSpec(kind="lin_reg", dim=3, n_samples=31, batch_size=8000, seed=2)
+    config = RunConfig(problem=spec, estimator="storm", n_workers=3, steps=7, seed=5)
+    blocks = []
+
+    def recording(problem, shards, t0, t1, salt=0):
+        block = fleet_minibatches(problem, shards, t0, t1, salt)
+        blocks.append((problem, shards, t0, t1, salt, block))
+        return block
+
+    monkeypatch.setattr(simulator, "fleet_minibatches", recording)
+    run(config)
+    assert [(t0, t1) for _, _, t0, t1, _, _ in blocks] == [(1, 3), (3, 5), (5, 7)]
+    for problem, shards, t0, t1, salt, block in blocks:
+        assert salt == 5 and block.shape == (t1 - t0, 3, 8000)
+        for t in range(t0, t1):
+            for i, shard in enumerate(shards):
+                handle = SampleHandle(t=t, worker=i, draw=0, salt=salt)
+                assert np.array_equal(block[t - t0, i], minibatch_indices(problem, shard, handle))
+
+    problem = make_problem(LIN)
+    shards = partition_data(problem, 2, seed=1)
+    with pytest.raises(ConfigError):
+        fleet_minibatches(problem, [shards[0], Shard(worker=1, indices=np.empty(0, np.int64))], 0, 2)
+    quad = make_problem(QUAD)
+    assert fleet_minibatches(quad, partition_data(quad, 2, seed=0), 4, 7).shape == (3, 2, 0)
 
 
 def test_shard_full_grad_over_everything_matches_full_grad():
