@@ -32,17 +32,33 @@ in which all three schemes are written at the v-update level:
 
 with eta1 = eta2 = 1 for none/single (undamped error) and eta1 = eta2 = a_t
 for two_step (damped error).
+
+Buffer ownership.  A state owns two e-sized buffers and two tile buffers,
+built on first use (zeros() starts e in the first).  filter_update writes
+the new e_t into whichever of the two is not the current e, tile by tile
+through the tile buffers, and rebinds e to it; it allocates nothing once
+the buffers exist.  So the array it returns stays unchanged until the
+second call after it, two consecutive results never share memory, and an
+e that a caller assigned is never written to.  The residual buffers are
+never written here; shift_deltas only rebinds them.  compensate writes
+into out when one is given (out may be the message itself) and otherwise
+returns a new array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 
 KINDS = ("none", "single", "two_step")
+
+# Elements per filter tile: 32 Ki float64 = 256 KiB, so a tile's operands
+# stay in a 4 MiB L2 cache between its elementwise operations.  A state of
+# at most this many elements is filtered as one tile, without slicing.
+FILTER_TILE = 2**15
 
 
 @dataclass(frozen=True)
@@ -75,10 +91,33 @@ class CompensationState:
     e: np.ndarray
     delta_1: np.ndarray
     delta_2: np.ndarray
+    # filter_update's own buffers: two for e to alternate between, then two
+    # tile buffers for the intermediate terms.
+    scratch: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, shape: int | tuple[int, ...]) -> "CompensationState":
-        return cls(e=np.zeros(shape), delta_1=np.zeros(shape), delta_2=np.zeros(shape))
+        state = cls(e=np.zeros(shape), delta_1=np.zeros(shape), delta_2=np.zeros(shape))
+        state.scratch = _scratch(state.e)
+        return state
+
+
+def _scratch(e: np.ndarray) -> tuple[np.ndarray, ...]:
+    tile = e.shape if e.size <= FILTER_TILE else (FILTER_TILE,)
+    return (e, np.empty(e.shape), np.empty(tile), np.empty(tile))
+
+
+def _next_buffers(state: CompensationState) -> tuple[np.ndarray, ...]:
+    """The buffer the next e goes into, then the two tile buffers."""
+    e = state.e
+    if state.scratch is not None:
+        first, second, s1, s2 = state.scratch
+        if e is first:
+            return second, s1, s2
+        if e is second or first.shape == e.shape:
+            return first, s1, s2
+    state.scratch = _scratch(np.empty(e.shape))
+    return state.scratch[0], *state.scratch[2:]
 
 
 def scheme_coefficients(kind: str, alpha_t: float) -> tuple[float, float, float, float]:
@@ -119,28 +158,55 @@ def filter_update(
     """Advance the low-pass filter and return the new e_t.
 
     The residual buffers are left untouched; they shift only after the node
-    compressed its message (shift_deltas).
+    compressed its message (shift_deltas).  Every element goes through the
+    same float operations, in the same order, as the expression in the
+    module docstring: w1*delta_1, w2*delta_2, their difference, times beta,
+    then (1-beta)*e added to it.
     """
     if alpha_t <= 0.0:
         raise ConfigError(f"alpha_t must be positive, got {alpha_t}")
-    if kind == "none":
-        state.e = np.zeros_like(state.e)
-    elif kind == "single":
-        state.e = (1.0 - beta) * state.e + beta * state.delta_1
-    elif kind == "two_step":
-        w1 = (alpha_t1 / alpha_t) * (2.0 - alpha_t)
-        w2 = (alpha_t2 / alpha_t) * (1.0 - alpha_t)
-        state.e = (1.0 - beta) * state.e + beta * (w1 * state.delta_1 - w2 * state.delta_2)
-    else:
+    if kind not in KINDS:
         raise ConfigError(f"unknown scheme kind {kind!r}, expected one of {KINDS}")
-    return state.e
+    new, *tiles = _next_buffers(state)
+    if kind == "none":
+        new.fill(0.0)
+    else:
+        keep = 1.0 - beta
+        if kind == "two_step":
+            w1 = (alpha_t1 / alpha_t) * (2.0 - alpha_t)
+            w2 = (alpha_t2 / alpha_t) * (1.0 - alpha_t)
+        size = new.size
+        arrays = (new, state.e, state.delta_1, state.delta_2)
+        if size > FILTER_TILE:
+            arrays = tuple(a.reshape(-1) for a in arrays)
+        for lo in range(0, size, FILTER_TILE):
+            if size <= FILTER_TILE:  # one tile: the arrays themselves
+                out, e, d1, d2 = arrays
+                s1, s2 = tiles
+            else:
+                out, e, d1, d2 = (a[lo : lo + FILTER_TILE] for a in arrays)
+                s1, s2 = (t[: out.size] for t in tiles)
+            if kind == "single":
+                np.multiply(d1, beta, out=s1)
+            else:
+                np.multiply(d1, w1, out=s1)
+                np.multiply(d2, w2, out=s2)
+                np.subtract(s1, s2, out=s1)
+                np.multiply(s1, beta, out=s1)
+            np.multiply(e, keep, out=s2)
+            np.add(s2, s1, out=out)
+    state.e = new
+    return new
 
 
-def compensate(message: np.ndarray, e_t: np.ndarray) -> np.ndarray:
-    """The compensated message: what actually gets compressed."""
+def compensate(message: np.ndarray, e_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The compensated message: what actually gets compressed.
+
+    With out given (it may be message itself), the sum is written there.
+    """
     if message.shape != e_t.shape:
         raise ConfigError(f"shape mismatch: message {message.shape} vs error {e_t.shape}")
-    return message + e_t
+    return np.add(message, e_t, out=out)
 
 
 def shift_deltas(state: CompensationState, new_delta: np.ndarray) -> None:

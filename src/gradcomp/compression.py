@@ -18,6 +18,14 @@ exact).  Outside that zone exact reconstruction is impossible for any choice
 of single-float residual: x - c with |c| > 2|x| needs more significand bits
 than the format has, and the deviation is at most half an ulp of the
 compressed magnitude.
+
+Buffer ownership.  Without ``out``, compress returns two new arrays.  With
+``out=(compressed, residual)`` it writes the pair into the caller's (d,)
+float64 buffers and returns them; ``compressed`` may be the input itself,
+so a message can be compressed in place, but ``residual`` must share no
+memory with either.  Every kind reads the input in full, or one tile of it,
+before it writes that part of ``compressed``.  Both ways run the same float
+operations on every coordinate, so their results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ KINDS = ("one_bit", "top_k", "rand_k", "stoch_quant", "identity")
 
 # Bits for one float64, used wherever a raw scalar or coordinate is sent.
 FLOAT_BITS = 64
+# Coordinates per tile of one_bit and stoch_quant: a tile's temporaries
+# (256 KiB each) stay in a 4 MiB L2 cache while it is signed or quantized.
+SIGN_TILE = 2**15
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -86,50 +98,120 @@ def _check_input(x) -> np.ndarray:
     return x
 
 
-def compress(x, spec: CompressorSpec, step: int = 0, node_id: int = 0) -> CompressionResult:
+def _largest(x: np.ndarray, k: int, mag: np.ndarray) -> np.ndarray:
+    """The set of k indices a stable argsort of -|x| puts first.
+
+    Every coordinate above the k-th largest magnitude is kept, then the
+    lowest-index ones equal to it.  NaN magnitudes sort last, so a NaN is
+    kept only when fewer than k coordinates are not NaN.  mag is (d,)
+    scratch; it holds |x| on return.
+    """
+    np.abs(x, out=mag)
+    np.negative(mag, out=mag)
+    mag.partition(k - 1)
+    kth = -mag[k - 1]
+    np.abs(x, out=mag)
+    if kth != kth:  # NaN: fewer than k magnitudes are numbers
+        nan = np.isnan(mag)
+        above, tied = np.flatnonzero(~nan), np.flatnonzero(nan)
+    else:
+        above, tied = np.flatnonzero(mag > kth), np.flatnonzero(mag == kth)
+    return np.concatenate((above, tied[: k - above.size]))
+
+
+def _emit_signed(xt, magnitude, compressed_t, residual_t) -> None:
+    """compressed = sign(x) * magnitude and residual = x - compressed, on one tile.
+
+    Zeros of either sign count as positive.  As magnitude >= 0, sign(x) *
+    magnitude equals copysign(magnitude, x + 0.0) bit for bit: x + 0.0 maps
+    -0.0 to +0.0 and keeps every other sign.
+    """
+    signed = xt + 0.0
+    np.copysign(magnitude, signed, out=signed)
+    np.subtract(xt, signed, out=residual_t)
+    compressed_t[...] = signed
+
+
+def _quantize(x, levels: int, scale: float, rng, compressed, residual) -> None:
+    """stoch_quant's levels, signs and residuals, one SIGN_TILE at a time.
+
+    Per coordinate: z = |x| / scale * levels, level = floor(z) + (u < z -
+    floor(z)) with u the next uniform draw, and compressed = sign(x) * level
+    * (scale / levels).  The tiles draw the uniforms in coordinate order, so
+    the stream is the one a single rng.random(d) call gives.
+    """
+    step = scale / levels
+    for lo in range(0, x.size, SIGN_TILE):
+        hi = lo + SIGN_TILE
+        xt = x[lo:hi]
+        z = np.abs(xt)
+        np.divide(z, scale, out=z)
+        np.multiply(z, levels, out=z)
+        level = np.floor(z)
+        np.subtract(z, level, out=z)
+        # round up with probability equal to the fractional part, so the
+        # quantized level is unbiased for z.
+        np.add(level, rng.random(z.size) < z, out=level)
+        np.multiply(level, step, out=level)
+        _emit_signed(xt, level, compressed[lo:hi], residual[lo:hi])
+
+
+def compress(
+    x, spec: CompressorSpec, step: int = 0, node_id: int = 0, out=None
+) -> CompressionResult:
     """Compress x, returning the message and the residual it leaves behind.
 
     step and node_id key the randomized kinds so that worker draws are
-    independent across steps and nodes yet exactly reproducible.
+    independent across steps and nodes yet exactly reproducible.  out, if
+    given, is the (compressed, residual) pair of buffers to write; see the
+    module docstring for which of them may alias x.
     """
     x = _check_input(x)
     d = x.size
     if spec.kind in ("top_k", "rand_k") and spec.k > d:
         raise ConfigError(f"compressor k={spec.k} exceeds vector dimension {d}")
+    if out is None:
+        compressed, residual = np.empty(d), np.empty(d)
+    else:
+        compressed, residual = out
+        if not (compressed.shape == residual.shape == x.shape) or not (
+            compressed.dtype == residual.dtype == _FLOAT64
+        ):
+            raise ConfigError(f"compress out buffers must be ({d},) float64 arrays")
 
     if spec.kind == "identity":
-        compressed = x.copy()
+        np.subtract(x, x, out=residual)
+        compressed[...] = x
     elif spec.kind == "one_bit":
-        scale = float(np.abs(x).sum()) / d
-        # sign convention: zeros (either signed zero) count as positive.
-        signs = np.where(x < 0.0, -1.0, 1.0)
-        compressed = scale * signs
-    elif spec.kind == "top_k":
-        # stable sort on -|x| keeps ties in ascending index order.
-        keep = np.argsort(-np.abs(x), kind="stable")[: spec.k]
-        compressed = np.zeros(d)
-        compressed[keep] = x[keep]
-    elif spec.kind == "rand_k":
-        rng = keyed_generator(spec.seed or 0, STREAM_COMPRESS, step, node_id)
-        keep = rng.choice(d, size=spec.k, replace=False)
-        compressed = np.zeros(d)
-        compressed[keep] = x[keep] * (d / spec.k) if spec.rescale else x[keep]
-    elif spec.kind == "stoch_quant":
-        scale = float(np.abs(x).max())
-        if scale == 0.0:
-            compressed = np.zeros(d)
+        scale = float(np.abs(x, out=residual).sum()) / d
+        for lo in range(0, d, SIGN_TILE):
+            hi = lo + SIGN_TILE
+            _emit_signed(x[lo:hi], scale, compressed[lo:hi], residual[lo:hi])
+    elif spec.kind in ("top_k", "rand_k"):
+        if spec.kind == "top_k":
+            keep = _largest(x, spec.k, residual)
         else:
             rng = keyed_generator(spec.seed or 0, STREAM_COMPRESS, step, node_id)
-            z = np.abs(x) / scale * spec.levels
-            low = np.floor(z)
-            # round up with probability equal to the fractional part, so the
-            # quantized level is unbiased for z.
-            level = low + (rng.random(d) < z - low)
-            compressed = np.where(x < 0.0, -1.0, 1.0) * level * (scale / spec.levels)
+            keep = rng.choice(d, size=spec.k, replace=False)
+        values = x[keep]
+        sent = values * (d / spec.k) if spec.kind == "rand_k" and spec.rescale else values
+        # x - 0.0 == x bitwise, so only the kept coordinates are subtracted.
+        residual[...] = x
+        residual[keep] = values - sent
+        compressed.fill(0.0)
+        compressed[keep] = sent
+    elif spec.kind == "stoch_quant":
+        scale = float(np.abs(x, out=residual).max())
+        if scale == 0.0:
+            residual[...] = x
+            compressed.fill(0.0)
+        else:
+            rng = keyed_generator(spec.seed or 0, STREAM_COMPRESS, step, node_id)
+            _quantize(x, spec.levels, scale, rng, compressed, residual)
     else:  # unreachable: spec validates kind
         raise ConfigError(f"unknown compressor kind {spec.kind!r}")
 
-    return CompressionResult(compressed=compressed, residual=x - compressed)
+    return CompressionResult(compressed=compressed, residual=residual)
 
 
 def message_bits(spec: CompressorSpec, dim: int) -> int:

@@ -34,16 +34,18 @@ KINDS = ("sgd", "momentum", "storm", "root_sgd", "igt")
 SCHEDULE_KINDS = ("constant", "inverse_t", "inverse_linear", "power_two_thirds")
 
 
-def fixed_order_mean(vectors) -> np.ndarray:
+def fixed_order_mean(vectors, out: np.ndarray | None = None) -> np.ndarray:
     """Mean over a sequence of vectors with a fixed reduction order.
 
     Reducing row by row over an (n, d) array pins the summation tree, so the
     result does not depend on which worker finished first; simulator and
     oracles both reduce this way.  An array is reduced as is, anything else
-    is stacked into one first.
+    is stacked into one first.  The mean is written into out if given, and
+    into one new array otherwise.
     """
     stacked = vectors if isinstance(vectors, np.ndarray) else np.stack(list(vectors), axis=0)
-    return np.add.reduce(stacked, axis=0) / stacked.shape[0]
+    total = np.add.reduce(stacked, axis=0, out=out)
+    return np.divide(total, stacked.shape[0], out=total)
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,11 @@ class Estimator:
         With weighted=True the increment already carries the alpha_t factor
         (it was applied before transmission), so it is added as is.
         """
-        if weighted:
-            self.v = (1.0 - alpha_t) * self.v + a_t
-        else:
-            self.v = (1.0 - alpha_t) * self.v + alpha_t * a_t
-        return self.v
+        # A new array every step: callers keep the v of earlier steps.
+        v = (1.0 - alpha_t) * self.v
+        v += a_t if weighted else alpha_t * a_t
+        self.v = v
+        return v
 
     def advance(self, x_t: np.ndarray) -> None:
         """Record x_t as the previous iterate once every worker evaluated at it."""

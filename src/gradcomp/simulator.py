@@ -37,8 +37,25 @@ draws bit for bit.  Gradients (one grad_at per worker and evaluation)
 and compression (one compress per row) stay per worker, so each row is
 computed by the same float operations a lone worker would perform.  Row
 computations touch only that worker's state and keyed randomness, so
-their order cannot matter.  The residual buffer of step t-2 is dead once
-the filter has read it and is reused for step t's residuals.
+their order cannot matter.
+
+Buffer ownership.  A run allocates its per-step vectors once and a step
+overwrites them in place:
+    Runtime.messages    (n, d): the estimates, then the a_t weighting and
+                        compensate write the messages over them, and each
+                        row is compressed in place;
+    workers.delta_2     the residuals of step t-2 are dead once the filter
+                        has read them, so step t's residuals go there and
+                        shift_deltas makes them delta_1;
+    Runtime.broadcast   (d,): the worker average, compensated and then
+                        compressed in place by the server;
+    server.delta_2      the server's residual, as for the workers;
+    e                   filter_update alternates it between two buffers
+                        that each state owns (see compensation).
+Nothing a caller keeps points into these buffers: the StepResult arrays
+(x_next, v, a_bar, e_bar, delta_bar), the estimator's v and x_prev, the
+trace's x0 and v0 and the history rows (copies) are all new arrays, so no
+later step can change them.
 
 Step 0 is special: v_0 is a plain average of b0 stochastic gradients at x_0,
 communicated uncompressed, and x_1 = x_0 - gamma * v_0 happens before the
@@ -49,6 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,14 +199,18 @@ class StepResult:
     a_bar: np.ndarray | None
     e_bar: np.ndarray | None
     delta_bar: np.ndarray
-    worker_delta_mean: np.ndarray
-    server_delta: np.ndarray
+    worker_delta_norm: float
+    server_delta_norm: float
     bits: int
 
 
 @dataclass(frozen=True)
 class Runtime:
-    """Immutable-per-run context shared by every step."""
+    """Per-run context shared by every step.
+
+    The fields never change during a run; the contents of the two buffers
+    are overwritten by every step (see the module docstring).
+    """
 
     problem: object
     worker_spec: CompressorSpec
@@ -200,6 +222,8 @@ class Runtime:
     dim: int
     gamma: float
     record_history: bool
+    messages: np.ndarray   # (n, d): estimates, then messages
+    broadcast: np.ndarray  # (d,): the worker average, then the broadcast
 
 
 def run_step(
@@ -226,51 +250,57 @@ def run_step(
     e_workers = filter_update(workers, runtime.scheme.beta, *alphas, kind)
     # The residual buffer of step t-2 is dead once the filter has read it.
     residuals = workers.delta_2
-    estimates = np.empty((runtime.n, runtime.dim))
+    messages = runtime.messages
     for i in range(runtime.n):
-        estimates[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
-    a_bar = fixed_order_mean(estimates) if runtime.record_history else None
-    messages = compensate(a_t * estimates if weighted else estimates, e_workers)
-    del estimates  # one (n, d) array fewer alive while compressing
+        messages[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
+    a_bar = fixed_order_mean(messages) if runtime.record_history else None
+    if weighted:
+        np.multiply(messages, a_t, out=messages)
+    compensate(messages, e_workers, out=messages)
     for i in range(runtime.n):
-        result = compress(messages[i], runtime.worker_spec, step=t, node_id=i)
-        messages[i] = result.compressed
-        residuals[i] = result.residual
+        row = messages[i]
+        compress(row, runtime.worker_spec, step=t, node_id=i, out=(row, residuals[i]))
     shift_deltas(workers, residuals)
-    averaged = fixed_order_mean(messages)
+    broadcast = fixed_order_mean(messages, out=runtime.broadcast)
     bits = runtime.n * message_bits(runtime.worker_spec, runtime.dim)
 
     if runtime.topology == "double_compression":
         e_srv = filter_update(server, runtime.scheme.beta, *alphas, kind)
-        server_result = compress(
-            compensate(averaged, e_srv), runtime.server_spec, step=t, node_id=runtime.n
+        compensate(broadcast, e_srv, out=broadcast)
+        compress(
+            broadcast, runtime.server_spec, step=t, node_id=runtime.n,
+            out=(broadcast, server.delta_2),
         )
-        shift_deltas(server, server_result.residual)
-        broadcast = server_result.compressed
-        server_delta = server_result.residual
+        shift_deltas(server, server.delta_2)
         bits += message_bits(runtime.server_spec, runtime.dim)
     else:
         # single_round broadcasts the average uncompressed; single_worker has
-        # nobody to broadcast to.  Either way the server adds no residual.
-        e_srv = np.zeros(runtime.dim)
-        broadcast = averaged
-        server_delta = np.zeros(runtime.dim)
+        # nobody to broadcast to.  Either way the server never filters or
+        # compresses, so its e and residual stay zero.
+        e_srv = server.e
         if runtime.topology == "single_round":
             bits += runtime.dim * FLOAT_BITS
+    server_delta = server.delta_1
 
     estimator.advance(x_t)
     v_t = estimator.update_v(broadcast, a_t, weighted=weighted)
-    x_next = x_t - runtime.gamma * v_t
+    x_next = runtime.gamma * v_t
+    np.subtract(x_t, x_next, out=x_next)
 
     worker_delta_mean = fixed_order_mean(residuals)
+    worker_delta_norm = float(np.linalg.norm(worker_delta_mean))
+    e_bar = None
+    if runtime.record_history:
+        e_bar = fixed_order_mean(e_workers)
+        e_bar += e_srv
     return StepResult(
         x_next=x_next,
         v=v_t,
         a_bar=a_bar,
-        e_bar=fixed_order_mean(e_workers) + e_srv if runtime.record_history else None,
-        delta_bar=server_delta + worker_delta_mean,
-        worker_delta_mean=worker_delta_mean,
-        server_delta=server_delta,
+        e_bar=e_bar,
+        delta_bar=np.add(server_delta, worker_delta_mean, out=worker_delta_mean),
+        worker_delta_norm=worker_delta_norm,
+        server_delta_norm=float(np.linalg.norm(server_delta)),
         bits=bits,
     )
 
@@ -373,6 +403,26 @@ class _Recorder:
         )
 
 
+def _check_history_fits(config: RunConfig) -> None:
+    """Reject a recorded run whose history would not fit in physical memory.
+
+    RunHistory preallocates five (steps, d) float64 arrays, so a long wide
+    run would otherwise fail (or swap) only after its problem was built.
+    """
+    if not config.record_history:
+        return
+    spec = config.problem
+    dim = len(spec.spectrum) if spec.kind == "quadratic" else spec.dim
+    needed = 5 * config.steps * dim * np.dtype(np.float64).itemsize
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise ConfigError(
+            f"record_ghost: the history of {config.steps} steps at d={dim} needs "
+            f"{needed / 2**30:.1f} GiB, more than the {physical / 2**30:.1f} GiB "
+            "of physical memory"
+        )
+
+
 def run(config: RunConfig) -> RunTrace:
     """Run the full protocol for config.steps steps; deterministic in config.
 
@@ -380,6 +430,7 @@ def run(config: RunConfig) -> RunTrace:
     escapes; a run with scheme "none" under aggressive compression is
     expected to do so.
     """
+    _check_history_fits(config)
     problem = make_problem(config.problem)
     dim = problem.dim
     n = config.n_workers
@@ -397,6 +448,8 @@ def run(config: RunConfig) -> RunTrace:
         dim=dim,
         gamma=config.gamma,
         record_history=config.record_history,
+        messages=np.empty((n, dim)),
+        broadcast=np.empty(dim),
     )
 
     x0 = config.x0_scale * np.ones(dim)
@@ -427,8 +480,8 @@ def run(config: RunConfig) -> RunTrace:
             t,
             x,
             result.v,
-            float(np.linalg.norm(result.worker_delta_mean)),
-            float(np.linalg.norm(result.server_delta)),
+            result.worker_delta_norm,
+            result.server_delta_norm,
             float(np.linalg.norm(result.delta_bar)),
             result.bits,
         )

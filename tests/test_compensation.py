@@ -15,6 +15,7 @@ from gradcomp import (
     shift_deltas,
     transmits_weighted_increment,
 )
+from gradcomp.compensation import FILTER_TILE
 
 
 def state_with(e, d1, d2):
@@ -120,6 +121,65 @@ def test_filter_leaves_residual_buffers_alone():
     filter_update(state, beta=0.5, alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5, kind="two_step")
     assert np.array_equal(state.delta_1, [1.0, 2.0])
     assert np.array_equal(state.delta_2, [3.0, 4.0])
+
+
+def allocating_filter(e, d1, d2, beta, alpha_t, alpha_t1, alpha_t2, kind):
+    """The filter as one allocating expression per scheme, for comparison."""
+    if kind == "none":
+        return np.zeros_like(e)
+    if kind == "single":
+        return (1.0 - beta) * e + beta * d1
+    w1 = (alpha_t1 / alpha_t) * (2.0 - alpha_t)
+    w2 = (alpha_t2 / alpha_t) * (1.0 - alpha_t)
+    return (1.0 - beta) * e + beta * (w1 * d1 - w2 * d2)
+
+
+def random_buffer(rng, shape):
+    values = rng.standard_normal(shape) * rng.choice([1e-310, 1.0, 1e200], shape)
+    values.flat[rng.choice(values.size, min(values.size, 5), replace=False)] = -0.0
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    d=st.sampled_from([1, 7, FILTER_TILE // 3, FILTER_TILE - 1, FILTER_TILE + 1, 2 * FILTER_TILE + 3]),
+    kind=st.sampled_from(["none", "single", "two_step"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_filter_update_matches_the_allocating_formula_bit_for_bit(n, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    state = CompensationState.zeros((n, d))
+    for step in range(3):
+        beta = rng.uniform(0.01, 1.0)
+        alphas = rng.uniform(1e-3, 1.0, 3)
+        e0 = state.e.copy()
+        state.delta_2, state.delta_1 = state.delta_1, random_buffer(rng, (n, d))
+        expected = allocating_filter(e0, state.delta_1, state.delta_2, beta, *alphas, kind)
+        e = filter_update(state, beta, *alphas, kind)
+        assert e is state.e
+        assert e.tobytes() == expected.tobytes(), (kind, step)
+
+
+def test_consecutive_filter_results_do_not_alias():
+    e0 = np.array([[1.0, -2.0], [0.5, 4.0]])
+    state = state_with(e0, [[1.0, 1.0], [2.0, 2.0]], [[3.0, 3.0], [4.0, 4.0]])
+    first = filter_update(state, 0.5, 0.5, 0.5, 0.5, "two_step")
+    kept = first.copy()
+    second = filter_update(state, 0.5, 0.5, 0.5, 0.5, "two_step")
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    third = filter_update(state, 0.5, 0.5, 0.5, 0.5, "single")
+    assert not np.shares_memory(second, third)
+    # the e the caller put on the state is never written to
+    assert np.array_equal(e0, [[1.0, -2.0], [0.5, 4.0]])
+
+
+def test_compensate_writes_into_out():
+    message = np.array([1.0, 2.0])
+    out = compensate(message, np.array([0.5, -0.5]), out=message)
+    assert out is message
+    assert np.array_equal(message, [1.5, 1.5])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from gradcomp import (
     measured_epsilon,
     message_bits,
 )
+from gradcomp.compression import SIGN_TILE, _largest
+from gradcomp.rng import STREAM_COMPRESS, keyed_generator
 
 KINDS = ("one_bit", "top_k", "rand_k", "stoch_quant", "identity")
 
@@ -231,3 +233,136 @@ def test_measured_epsilon_is_sqrt2_times_sup():
     assert measured_epsilon(norms) == pytest.approx(np.sqrt(2.0) * 2.0)
     with pytest.raises(EmptyTraceError):
         measured_epsilon([])
+
+
+# ---------------------------------------------------------------------------
+# the in-place codec against a frozen copy of the allocating one
+
+
+def reference_compress(x, spec, step=0, node_id=0):
+    """compress as it was before it wrote into caller buffers, kept verbatim."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x.size
+    if spec.kind == "identity":
+        compressed = x.copy()
+    elif spec.kind == "one_bit":
+        scale = float(np.abs(x).sum()) / d
+        signs = np.where(x < 0.0, -1.0, 1.0)
+        compressed = scale * signs
+    elif spec.kind == "top_k":
+        keep = np.argsort(-np.abs(x), kind="stable")[: spec.k]
+        compressed = np.zeros(d)
+        compressed[keep] = x[keep]
+    elif spec.kind == "rand_k":
+        rng = keyed_generator(spec.seed or 0, STREAM_COMPRESS, step, node_id)
+        keep = rng.choice(d, size=spec.k, replace=False)
+        compressed = np.zeros(d)
+        compressed[keep] = x[keep] * (d / spec.k) if spec.rescale else x[keep]
+    else:
+        scale = float(np.abs(x).max())
+        if scale == 0.0:
+            compressed = np.zeros(d)
+        else:
+            rng = keyed_generator(spec.seed or 0, STREAM_COMPRESS, step, node_id)
+            z = np.abs(x) / scale * spec.levels
+            low = np.floor(z)
+            level = low + (rng.random(d) < z - low)
+            compressed = np.where(x < 0.0, -1.0, 1.0) * level * (scale / spec.levels)
+    return compressed, x - compressed
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 2.0,
+           np.inf, -np.inf, np.nan]
+
+
+def specs_for(d):
+    k = max(1, d // 3)
+    return [
+        CompressorSpec("identity"),
+        CompressorSpec("one_bit"),
+        CompressorSpec("top_k", k=k),
+        CompressorSpec("rand_k", k=k, seed=3),
+        CompressorSpec("rand_k", k=k, seed=3, rescale=False),
+        CompressorSpec("stoch_quant", levels=1, seed=3),
+        CompressorSpec("stoch_quant", levels=5, seed=3),
+    ]
+
+
+def assert_same_bits(actual, expected, label):
+    """Byte-identical, except that NaN payloads may differ."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan), label
+    assert actual[~nan].tobytes() == expected[~nan].tobytes(), label
+
+
+def check_against_reference(x, step=0):
+    with np.errstate(all="ignore"):
+        for spec in specs_for(x.size):
+            check_spec_against_reference(x, spec, step)
+
+
+def check_spec_against_reference(x, spec, step):
+    label = f"{spec.kind} k={spec.k} levels={spec.levels} rescale={spec.rescale}"
+    expected = reference_compress(x, spec, step=step, node_id=2)
+    plain = compress(x, spec, step=step, node_id=2)
+    into = (np.full(x.size, 7.0), np.full(x.size, 7.0))
+    separate = compress(x, spec, step=step, node_id=2, out=into)
+    assert separate.compressed is into[0] and separate.residual is into[1]
+    in_place = x.copy()
+    aliased = compress(in_place, spec, step=step, node_id=2, out=(in_place, np.empty(x.size)))
+    assert aliased.compressed is in_place
+    for result in (plain, separate, aliased):
+        assert_same_bits(result.compressed, expected[0], label)
+        assert_same_bits(result.residual, expected[1], label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL)),
+        min_size=1,
+        max_size=40,
+    ),
+    step=st.integers(min_value=0, max_value=50),
+)
+def test_compress_matches_the_allocating_codec_bit_for_bit(values, step):
+    check_against_reference(np.array(values, dtype=np.float64), step)
+
+
+def test_compress_matches_the_allocating_codec_across_tiles():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(2 * SIGN_TILE + 5) * rng.choice([1e-300, 1.0, 1e300], 2 * SIGN_TILE + 5)
+    x[rng.choice(x.size, 40, replace=False)] = rng.choice(SPECIAL[:8], 40)
+    check_against_reference(x, step=4)
+    x[7] = np.inf
+    check_against_reference(x, step=4)
+
+
+def test_compress_rejects_mismatched_out_buffers():
+    spec = CompressorSpec("one_bit")
+    with pytest.raises(ConfigError):
+        compress(np.ones(3), spec, out=(np.empty(3), np.empty(4)))
+    with pytest.raises(ConfigError):
+        compress(np.ones(3), spec, out=(np.empty(3, dtype=np.float32), np.empty(3)))
+
+
+def test_consecutive_calls_do_not_share_results():
+    x = np.array([3.0, -1.0, 0.5, 2.0])
+    for spec in specs_for(x.size):
+        first = compress(x, spec, step=1)
+        kept = (first.compressed.copy(), first.residual.copy())
+        compress(-x, spec, step=1)
+        assert np.array_equal(first.compressed, kept[0]) and np.array_equal(first.residual, kept[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, np.inf, np.nan]),
+                    min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_top_k_selection_matches_a_stable_argsort(values, data):
+    x = np.array(values)
+    k = data.draw(st.one_of(st.just(1), st.just(x.size), st.integers(1, x.size)), label="k")
+    expected = np.sort(np.argsort(-np.abs(x), kind="stable")[:k])
+    assert np.array_equal(np.sort(_largest(x, k, np.empty(x.size))), expected)

@@ -268,6 +268,63 @@ def test_divergence_raises_with_the_partial_trace():
 
 
 # ---------------------------------------------------------------------------
+# buffer ownership and memory
+
+
+@pytest.mark.parametrize("topology", ["double_compression", "single_round"])
+def test_kept_arrays_never_change_after_their_step(monkeypatch, topology):
+    """Steps overwrite run-owned buffers; nothing a caller keeps may alias them."""
+    from gradcomp import simulator
+
+    kept = []
+    original = simulator.run_step
+
+    def capture(*args, **kwargs):
+        result = original(*args, **kwargs)
+        arrays = [result.x_next, result.v, result.a_bar, result.e_bar, result.delta_bar]
+        kept.append([(a, a.copy()) for a in arrays])
+        return result
+
+    monkeypatch.setattr(simulator, "run_step", capture)
+    config = RunConfig(
+        problem=LIN,
+        estimator="storm",
+        schedule=AlphaSchedule(kind="inverse_linear", c0=0.1),
+        scheme=SchemeSpec(kind="two_step", beta=0.3),
+        compressor=CompressorSpec("stoch_quant", levels=2),
+        topology=topology,
+        n_workers=3,
+        steps=12,
+        gamma=0.05,
+        b0=2,
+        record_history=True,
+    )
+    trace = run(config)
+    assert len(kept) == 11
+    for step in kept:
+        for array, copy in step:
+            assert np.array_equal(array, copy)
+    assert np.array_equal(trace.v0, trace.history.v[0])
+    assert np.array_equal(trace.history.x[2:], [step[0][1] for step in kept[:-1]])
+
+
+def test_history_larger_than_physical_memory_is_rejected_up_front(monkeypatch):
+    from gradcomp import simulator
+
+    def no_dataset(spec):
+        raise AssertionError("make_problem ran before the history check")
+
+    monkeypatch.setattr(simulator, "make_problem", no_dataset)
+    spec = ProblemSpec(kind="lin_reg", dim=10**6, n_samples=10**6)
+    config = RunConfig(problem=spec, steps=10_000, record_history=True)
+    with pytest.raises(ConfigError, match="record_ghost"):
+        run(config)
+    # without the history the same config goes on to build its problem
+    with pytest.raises(AssertionError, match="make_problem"):
+        run(RunConfig(problem=spec, steps=10_000))
+
+
+# ---------------------------------------------------------------------------
 # determinism and accounting
 
 
