@@ -48,14 +48,11 @@ from .problems import (
     ProblemSpec,
     SampleHandle,
     Shard,
-    export_dataset,
     full_grad,
-    load_dataset,
     loss,
     make_problem,
     minibatch_indices,
     partition_data,
-    shard_full_grad,
     shard_sampler,
     stoch_grad,
     variance_sigma2,
@@ -86,14 +83,12 @@ __all__ = [
     "compensate",
     "compress",
     "diagnostic_At",
-    "export_dataset",
     "figure1_experiment",
     "filter_update",
     "fixed_order_mean",
     "init_v0",
     "full_grad",
     "ghost_run",
-    "load_dataset",
     "loss",
     "main",
     "make_problem",
@@ -105,7 +100,6 @@ __all__ = [
     "residual_sum_comparison",
     "run",
     "scheme_coefficients",
-    "shard_full_grad",
     "shard_sampler",
     "shift_deltas",
     "stoch_grad",

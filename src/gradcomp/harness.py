@@ -67,6 +67,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 import types
 import typing
@@ -88,6 +89,12 @@ from .simulator import RunConfig, RunTrace, run
 GAMMA_GRID = (0.5, 0.1, 0.001)
 BEST_GAMMA = 0.01
 DEFAULT_BETA = 0.3
+# The figure-1 problem, which verify's residual-sum ordering check also uses,
+# and the smaller problem of verify's other checks.
+FIGURE1_PROBLEM = ProblemSpec(
+    kind="lin_reg", dim=20, n_samples=512, noise_std=0.1, condition=10.0, batch_size=1, seed=3
+)
+VERIFY_PROBLEM = dataclasses.replace(FIGURE1_PROBLEM, dim=10, n_samples=64)
 
 CSV_COLUMNS = (
     "step",
@@ -359,6 +366,12 @@ def cmd_compare(config_mapping: dict, out_dir: Path, seed: int | None, record_gh
     section = decode(CompareSection, _section(config_mapping, "compare"), "compare")
     if not section.variants:
         raise ConfigError("compare.variants: need at least one variant")
+    for label in section.variants:
+        # The label names the variant's metrics file.
+        if any(sep and sep in str(label) for sep in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigError(
+                f"compare.variants.{label}: a label cannot hold a path separator or NUL"
+            )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
@@ -399,8 +412,18 @@ def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None) -> int:
     if section.c0s is not None and section.alphas is not None:
         raise ConfigError("sweep: give either c0s or alphas, not both")
     for axis in ("gammas", "alphas", "c0s"):
-        if getattr(section, axis) == ():
+        values = getattr(section, axis)
+        if values == ():
             raise ConfigError(f"sweep.{axis}: need at least one value")
+        # Cell labels print each value with :g, and a label names the cell's outputs.
+        labels: dict = {}
+        for value in values or ():
+            text = f"{value:g}"
+            if text in labels:
+                raise ConfigError(
+                    f"sweep.{axis}: {labels[text]!r} and {value!r} share the cell label {text}"
+                )
+            labels[text] = value
 
     cells = []
     for gamma in section.gammas:
@@ -447,16 +470,9 @@ class _Checker:
         self.lines.append(f"{name} INFO {detail}")
 
 
-def _verify_problem(seed: int = 3) -> ProblemSpec:
-    return ProblemSpec(
-        kind="lin_reg", dim=10, n_samples=64, noise_std=0.1, condition=10.0, batch_size=1, seed=seed
-    )
-
-
 def verify_suite(seed: int = 9) -> tuple[bool, str]:
     """Self-contained oracle checks; returns (all_passed, report text)."""
     checker = _Checker()
-    problem = _verify_problem()
 
     # Closed-form residual identity across schemes, alphas, fleet sizes.
     resolved_signs = set()
@@ -466,7 +482,7 @@ def verify_suite(seed: int = 9) -> tuple[bool, str]:
             for n in (1, 4):
                 for comp in ("one_bit", "top_k"):
                     config = RunConfig(
-                        problem=problem,
+                        problem=VERIFY_PROBLEM,
                         estimator="momentum",
                         schedule=AlphaSchedule("constant", alpha=alpha_val),
                         scheme=SchemeSpec(scheme_kind, beta=1.0),
@@ -505,12 +521,9 @@ def verify_suite(seed: int = 9) -> tuple[bool, str]:
 
     # Residual-sum ordering across schemes on a shared-seed triplet.
     traces = {}
-    ordering_problem = ProblemSpec(
-        kind="lin_reg", dim=20, n_samples=512, noise_std=0.1, condition=10.0, batch_size=1, seed=3
-    )
     for scheme_kind in ("two_step", "single", "none"):
         config = RunConfig(
-            problem=ordering_problem,
+            problem=FIGURE1_PROBLEM,
             estimator="momentum",
             schedule=AlphaSchedule("constant", alpha=0.05),
             scheme=SchemeSpec(scheme_kind, beta=1.0),
@@ -547,7 +560,7 @@ def verify_suite(seed: int = 9) -> tuple[bool, str]:
     collapse = {}
     for scheme_kind in ("single", "two_step"):
         config = RunConfig(
-            problem=problem,
+            problem=VERIFY_PROBLEM,
             estimator="momentum",
             schedule=AlphaSchedule("constant", alpha=1.0),
             scheme=SchemeSpec(scheme_kind, beta=0.3),
@@ -590,7 +603,7 @@ def figure1_experiment(
     gamma: float | None = None,
     seed: int = 9,
     out_dir=None,
-    problem: ProblemSpec | None = None,
+    problem: ProblemSpec = FIGURE1_PROBLEM,
 ) -> dict:
     """Convergence comparison of compensation schemes under aggressive
     compression, one block per estimator.
@@ -604,16 +617,6 @@ def figure1_experiment(
     the full message plumbing with the identity compressor, so its gap must
     sit at zero.
     """
-    if problem is None:
-        problem = ProblemSpec(
-            kind="lin_reg",
-            dim=20,
-            n_samples=512,
-            noise_std=0.1,
-            condition=10.0,
-            batch_size=1,
-            seed=3,
-        )
     variants = {
         "uncompressed": {"scheme": SchemeSpec("none", beta=DEFAULT_BETA), "compressor": CompressorSpec("identity")},
         "identity_control": {"scheme": SchemeSpec("two_step", beta=DEFAULT_BETA), "compressor": CompressorSpec("identity")},

@@ -40,8 +40,8 @@ from .compensation import scheme_coefficients, transmits_weighted_increment
 from .compression import compress
 from .errors import ConfigError, VerificationError
 from .estimators import Estimator, fixed_order_mean
-from .problems import SampleHandle, full_grad, make_problem, partition_data, shard_sampler
-from .simulator import RunConfig, RunTrace
+from .problems import SampleHandle, full_grad
+from .simulator import RunConfig, RunTrace, build_context
 
 # Guard against division by zero when a residual trace is identically zero.
 _TINY = 1e-30
@@ -273,9 +273,7 @@ def u_hat_run(trace: RunTrace) -> np.ndarray:
     """
     _require_history(trace)
     config = trace.config
-    problem = make_problem(config.problem)
-    shards = partition_data(problem, config.n_workers, config.problem.seed, config.heterogeneity)
-    grad = shard_sampler(problem, shards, salt=config.seed)
+    _, _, grad = build_context(config)
 
     ghost = ghost_run(trace)
     schedule = config.schedule
@@ -335,10 +333,7 @@ def uncompressed_reference(config: RunConfig) -> tuple[np.ndarray, np.ndarray, n
     compressor calls, no message plumbing.  Returns (x_hist, v_hist,
     final_x) with rows aligned the same way as RunHistory.
     """
-    problem = make_problem(config.problem)
-    shards = partition_data(problem, config.n_workers, config.problem.seed, config.heterogeneity)
-    grad = shard_sampler(problem, shards, salt=config.seed)
-
+    problem, _, grad = build_context(config)
     dim = problem.dim
     schedule = config.schedule
     x = config.x0_scale * np.ones(dim)
@@ -390,11 +385,8 @@ def coefficient_form_run(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.
     """
     if config.n_workers != 1:
         raise ConfigError("coefficient-form stepper is defined for a single worker")
-    problem = make_problem(config.problem)
-    shards = partition_data(problem, 1, config.problem.seed, config.heterogeneity)
+    problem, _, grad = build_context(config)
     worker_spec, _ = config.resolved_compressors()
-    grad = shard_sampler(problem, shards, salt=config.seed)
-
     dim = problem.dim
     schedule = config.schedule
     beta = config.scheme.beta

@@ -17,7 +17,6 @@ the same sample at two iterates).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -321,16 +320,6 @@ def shard_sampler(problem, shards: list[Shard], salt: int = 0):
     return grad
 
 
-def shard_full_grad(problem, shard: Shard, x) -> np.ndarray:
-    """Exact gradient of the shard's local objective."""
-    x = np.asarray(x, dtype=np.float64)
-    if shard.indices is None:
-        return problem.full_grad(x)
-    if shard.indices.size == 0:
-        raise ConfigError(f"worker {shard.worker} has an empty shard")
-    return problem.grad_at(x, shard.indices)
-
-
 def partition_data(problem, n: int, seed: int, heterogeneity: float = 0.0) -> list[Shard]:
     """Split the dataset into n shards whose sizes differ by at most one.
 
@@ -369,7 +358,9 @@ def variance_sigma2(problem, shard: Shard, x, trials: int) -> float:
     x = np.asarray(x, dtype=np.float64)
     if problem.n_samples == 0:
         return 0.0
-    center = shard_full_grad(problem, shard, x)
+    if shard.size() == 0:
+        raise ConfigError(f"worker {shard.worker} has an empty shard")
+    center = problem.grad_at(x, shard.indices)
     total = 0.0
     # draw index outside the training range (training uses small draw values)
     # so diagnostic sampling never collides with a run's own minibatches.
@@ -378,26 +369,3 @@ def variance_sigma2(problem, shard: Shard, x, trials: int) -> float:
         diff = g - center
         total += float(np.dot(diff, diff))
     return total / trials
-
-
-def export_dataset(problem, path) -> None:
-    """Write the dataset as CSV (feature columns then target) for external comparison."""
-    if problem.n_samples == 0:
-        raise ConfigError("problem has no dataset to export")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(problem.dim)] + ["target"])
-        for row, target in zip(problem.x_mat, problem.target()):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{target:.17g}"])
-
-
-def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dataset CSV written by export_dataset; returns (X, target)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ConfigError(f"malformed dataset file {path}")
-    return data[:, :-1], data[:, -1]

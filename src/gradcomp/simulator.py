@@ -212,16 +212,10 @@ class Runtime:
     are overwritten by every step (see the module docstring).
     """
 
+    config: RunConfig
     problem: object
     worker_spec: CompressorSpec
     server_spec: CompressorSpec
-    scheme: SchemeSpec
-    schedule: AlphaSchedule
-    topology: str
-    n: int
-    dim: int
-    gamma: float
-    record_history: bool
     messages: np.ndarray   # (n, d): estimates, then messages
     broadcast: np.ndarray  # (d,): the worker average, then the broadcast
 
@@ -241,56 +235,57 @@ def run_step(
     worker i; server holds the server's as (d,) vectors.  Row i of batches
     holds worker i's minibatch indices for this step.
     """
-    schedule = runtime.schedule
+    config = runtime.config
+    schedule, scheme = config.schedule, config.scheme
+    n, dim = runtime.messages.shape
     alphas = (schedule.at(t), schedule.at(t - 1), schedule.at(t - 2))
     a_t = alphas[0]
-    kind = runtime.scheme.kind
-    weighted = transmits_weighted_increment(kind)
+    weighted = transmits_weighted_increment(scheme.kind)
 
-    e_workers = filter_update(workers, runtime.scheme.beta, *alphas, kind)
+    e_workers = filter_update(workers, scheme.beta, *alphas, scheme.kind)
     # The residual buffer of step t-2 is dead once the filter has read it.
     residuals = workers.delta_2
     messages = runtime.messages
-    for i in range(runtime.n):
+    for i in range(n):
         messages[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
-    a_bar = fixed_order_mean(messages) if runtime.record_history else None
+    a_bar = fixed_order_mean(messages) if config.record_history else None
     if weighted:
         np.multiply(messages, a_t, out=messages)
     compensate(messages, e_workers, out=messages)
-    for i in range(runtime.n):
+    for i in range(n):
         row = messages[i]
         compress(row, runtime.worker_spec, step=t, node_id=i, out=(row, residuals[i]))
     shift_deltas(workers, residuals)
     broadcast = fixed_order_mean(messages, out=runtime.broadcast)
-    bits = runtime.n * message_bits(runtime.worker_spec, runtime.dim)
+    bits = n * message_bits(runtime.worker_spec, dim)
 
-    if runtime.topology == "double_compression":
-        e_srv = filter_update(server, runtime.scheme.beta, *alphas, kind)
+    if config.topology == "double_compression":
+        e_srv = filter_update(server, scheme.beta, *alphas, scheme.kind)
         compensate(broadcast, e_srv, out=broadcast)
         compress(
-            broadcast, runtime.server_spec, step=t, node_id=runtime.n,
+            broadcast, runtime.server_spec, step=t, node_id=n,
             out=(broadcast, server.delta_2),
         )
         shift_deltas(server, server.delta_2)
-        bits += message_bits(runtime.server_spec, runtime.dim)
+        bits += message_bits(runtime.server_spec, dim)
     else:
         # single_round broadcasts the average uncompressed; single_worker has
         # nobody to broadcast to.  Either way the server never filters or
         # compresses, so its e and residual stay zero.
         e_srv = server.e
-        if runtime.topology == "single_round":
-            bits += runtime.dim * FLOAT_BITS
+        if config.topology == "single_round":
+            bits += dim * FLOAT_BITS
     server_delta = server.delta_1
 
     estimator.advance(x_t)
     v_t = estimator.update_v(broadcast, a_t, weighted=weighted)
-    x_next = runtime.gamma * v_t
+    x_next = config.gamma * v_t
     np.subtract(x_t, x_next, out=x_next)
 
     worker_delta_mean = fixed_order_mean(residuals)
     worker_delta_norm = float(np.linalg.norm(worker_delta_mean))
     e_bar = None
-    if runtime.record_history:
+    if config.record_history:
         e_bar = fixed_order_mean(e_workers)
         e_bar += e_srv
     return StepResult(
@@ -423,6 +418,18 @@ def _check_history_fits(config: RunConfig) -> None:
         )
 
 
+def build_context(config: RunConfig):
+    """(problem, shards, grad): the set-up run and every oracle replay share.
+
+    Seed policy: the problem seed keys the dataset and the partition, and
+    the run seed salts every sample handle of grad, so runs that differ
+    only in seed share the data and its split but draw other minibatches.
+    """
+    problem = make_problem(config.problem)
+    shards = partition_data(problem, config.n_workers, config.problem.seed, config.heterogeneity)
+    return problem, shards, shard_sampler(problem, shards, salt=config.seed)
+
+
 def run(config: RunConfig) -> RunTrace:
     """Run the full protocol for config.steps steps; deterministic in config.
 
@@ -431,30 +438,23 @@ def run(config: RunConfig) -> RunTrace:
     expected to do so.
     """
     _check_history_fits(config)
-    problem = make_problem(config.problem)
+    problem, shards, grad = build_context(config)
     dim = problem.dim
     n = config.n_workers
-    shards = partition_data(problem, n, config.problem.seed, config.heterogeneity)
     worker_spec, server_spec = config.resolved_compressors()
 
     runtime = Runtime(
+        config=config,
         problem=problem,
         worker_spec=worker_spec,
         server_spec=server_spec,
-        scheme=config.scheme,
-        schedule=config.schedule,
-        topology=config.topology,
-        n=n,
-        dim=dim,
-        gamma=config.gamma,
-        record_history=config.record_history,
         messages=np.empty((n, dim)),
         broadcast=np.empty(dim),
     )
 
     x0 = config.x0_scale * np.ones(dim)
     estimator = Estimator(kind=config.estimator, schedule=config.schedule, x_prev=x0)
-    v0 = init_v0(x0, config.b0, shard_sampler(problem, shards, salt=config.seed), n)
+    v0 = init_v0(x0, config.b0, grad, n)
     estimator.v = v0
 
     workers = CompensationState.zeros((n, dim))

@@ -386,6 +386,29 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         assert err.startswith(f"config error: sweep.{axis}:")
         assert "Traceback" not in err
 
+    # Values that print alike under :g would share one cell label and its outputs.
+    colliding = {
+        "gammas": ("gammas: [0.1234567, 0.1234568, 0.01]", "0.1234567", "0.1234568"),
+        "alphas": ("gammas: [0.1], alphas: [0.5, 0.5]", "0.5", "0.5"),
+        "c0s": ("gammas: [0.1], c0s: [0.1, 0.10000001]", "0.1", "0.10000001"),
+    }
+    for i, (axis, (text, first, second)) in enumerate(colliding.items()):
+        config = write_config(tmp_path, f"sweep: {{base: {{steps: 2}}, {text}}}\n", f"same{i}.yaml")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / f"s{i}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep.{axis}: {first} and {second} ")
+        assert "Traceback" not in err
+        assert not (tmp_path / f"s{i}").exists()
+
+    # A compare label names a metrics file, so it cannot hold a directory.
+    nested = write_config(
+        tmp_path, "compare: {base: {steps: 2}, variants: {a/b: {}}}\n", "nested.yaml"
+    )
+    assert main(["compare", "--config", nested, "--out", str(tmp_path / "n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: compare.variants.a/b:")
+    assert "Traceback" not in err
+
 
 def test_module_entry_point_runs_a_config(tmp_path):
     config = write_config(tmp_path, QUAD_RUN)

@@ -14,6 +14,7 @@ from gradcomp import (
     ConfigError,
     ProblemSpec,
     RunConfig,
+    SampleHandle,
     SchemeSpec,
     VerificationError,
     coefficient_form_run,
@@ -25,11 +26,13 @@ from gradcomp import (
     residual_sum_comparison,
     run,
     scheme_coefficients,
+    stoch_grad,
     u_hat_run,
     uncompressed_reference,
     variance_sigma2,
     verify_residual_identity,
 )
+from gradcomp import oracle, simulator
 
 LIN = ProblemSpec(
     kind="lin_reg", dim=8, n_samples=64, noise_std=0.1, condition=10.0, batch_size=1, seed=3
@@ -265,6 +268,50 @@ def test_coefficient_form_is_single_worker_only():
     config = RunConfig(problem=LIN, n_workers=2, steps=5)
     with pytest.raises(ConfigError):
         coefficient_form_run(config)
+
+
+# ---------------------------------------------------------------------------
+# the shared run context
+
+
+def test_build_context_keys_the_split_by_the_problem_seed_and_salts_by_the_run_seed():
+    spec = ProblemSpec(kind="lin_reg", dim=4, n_samples=40, batch_size=3, seed=5)
+    config = RunConfig(problem=spec, n_workers=3, heterogeneity=0.5, seed=11)
+    problem, shards, grad = simulator.build_context(config)
+    expected = partition_data(problem, 3, spec.seed, 0.5)
+    assert len(shards) == 3
+    for shard, want in zip(shards, expected):
+        assert shard.worker == want.worker and np.array_equal(shard.indices, want.indices)
+    # The two seeds really select different splits and streams here.
+    swapped = partition_data(problem, 3, config.seed, 0.5)
+    assert not all(np.array_equal(a.indices, b.indices) for a, b in zip(shards, swapped))
+    x = np.linspace(-1.0, 1.0, 4)
+    for t in (0, 1, 7):
+        for i in range(3):
+            want = stoch_grad(problem, shards[i], x, SampleHandle(t, i, salt=config.seed))
+            assert np.array_equal(grad(x, SampleHandle(t, i)), want)
+            other = stoch_grad(problem, shards[i], x, SampleHandle(t, i, salt=spec.seed))
+            assert not np.array_equal(want, other)
+
+
+def test_every_oracle_builds_its_set_up_through_build_context(monkeypatch):
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return simulator.build_context(config)
+
+    monkeypatch.setattr(oracle, "build_context", counting)
+    config = RunConfig(problem=LIN, estimator="storm", steps=6, seed=7, record_history=True)
+    trace = run(config)
+    for replay, argument in (
+        (u_hat_run, trace),
+        (uncompressed_reference, config),
+        (coefficient_form_run, config),
+    ):
+        before = len(calls)
+        replay(argument)
+        assert calls[before:] == [config], replay.__name__
 
 
 # ---------------------------------------------------------------------------

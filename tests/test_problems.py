@@ -9,15 +9,12 @@ from gradcomp import (
     RunConfig,
     SampleHandle,
     Shard,
-    export_dataset,
     full_grad,
-    load_dataset,
     loss,
     make_problem,
     minibatch_indices,
     partition_data,
     run,
-    shard_full_grad,
     shard_sampler,
     stoch_grad,
     variance_sigma2,
@@ -278,7 +275,7 @@ def test_empty_shard_is_rejected():
     with pytest.raises(ConfigError):
         minibatch_indices(problem, empty, SampleHandle(t=0, worker=0))
     with pytest.raises(ConfigError):
-        shard_full_grad(problem, empty, np.ones(6))
+        variance_sigma2(problem, empty, np.ones(6), trials=2)
 
 
 def test_fleet_minibatches_match_the_per_handle_draws_across_blocks(monkeypatch):
@@ -313,13 +310,13 @@ def test_fleet_minibatches_match_the_per_handle_draws_across_blocks(monkeypatch)
 
 def test_shard_full_grad_over_everything_matches_full_grad():
     problem = make_problem(LIN)
-    whole = partition_data(problem, 1, seed=0)[0]
     x = np.linspace(0.0, 1.0, 6)
-    assert np.allclose(shard_full_grad(problem, whole, x), full_grad(problem, x), atol=1e-15)
+    every = np.arange(problem.n_samples)
+    assert np.allclose(problem.grad_at(x, every), full_grad(problem, x), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# variance and export
+# variance
 
 
 def test_variance_estimate_is_positive_and_deterministic():
@@ -338,17 +335,3 @@ def test_variance_is_zero_without_sampling_noise():
     problem = make_problem(QUAD)
     shard = partition_data(problem, 1, seed=0)[0]
     assert variance_sigma2(problem, shard, np.ones(4), trials=8) == 0.0
-
-
-def test_dataset_round_trips_through_csv(tmp_path):
-    problem = make_problem(LIN)
-    path = tmp_path / "data.csv"
-    export_dataset(problem, path)
-    x_mat, target = load_dataset(path)
-    assert np.array_equal(x_mat, problem.x_mat)
-    assert np.array_equal(target, problem.y)
-
-
-def test_sample_free_problems_have_nothing_to_export(tmp_path):
-    with pytest.raises(ConfigError):
-        export_dataset(make_problem(QUAD), tmp_path / "data.csv")
