@@ -19,8 +19,9 @@ class DivergenceError(RuntimeError):
     """Raised when the iterate escapes (non-finite values or norm blow-up).
 
     Carries the step index at which divergence was detected and the partial
-    trace (a RunTrace) accumulated up to (and excluding) that step, so
-    callers can still inspect how the run unravelled.  trace is None when no
+    trace (a RunTrace) of the rows up to and including that step, whose
+    final_x is the iterate that escaped, so callers can still inspect how
+    the run unravelled.  trace is None when no
     single run's trace describes the failure; message then says what did.
     """
 

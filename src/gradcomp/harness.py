@@ -1,7 +1,14 @@
 """CLI front-end: configs, metric CSVs, comparisons, sweeps, verification.
 
-Run it as ``python -m gradcomp {run,compare,sweep,verify} --config c.yaml
---out dir`` (or the ``gradcomp`` script of an installed package).
+Run it as ``python -m gradcomp <subcommand> ...`` (or the ``gradcomp``
+script of an installed package).  Each subcommand takes only the flags it
+reads:
+
+    run | compare | sweep   --config FILE --out DIR [--seed N] [--record-ghost]
+    verify                  [--out DIR] [--seed N]
+
+--seed overrides every run's seed, and --record-ghost records each run's
+history and adds the ghost_residual_norm column to its metrics CSV.
 
 Config files are YAML with one top-level section named after the subcommand
 that consumes it:
@@ -56,9 +63,10 @@ prints it as ``config error: ...`` and exits 1.  A saved config.yaml holds
 only the fields that a spec's kind uses (the "kinds" metadata of its
 dataclass fields), so it decodes back to the same config.
 
-Exit codes: 0 success, 1 usage or config error, 2 verification failure,
-3 unexpected divergence (a run with compensation diverged; a "none"-scheme
-run diverging is the expected outcome and is only noted in the summary).
+Exit codes: 0 success, 1 usage error (an unknown, missing or malformed
+flag) or config error, 2 verification failure, 3 unexpected divergence (a
+run with compensation diverged; a "none"-scheme run diverging is the
+expected outcome and is only noted in the summary).
 """
 
 from __future__ import annotations
@@ -298,7 +306,7 @@ def _trace_summary(trace: RunTrace, diverged_at: int | None = None) -> dict:
         "final_loss": trace.final_loss,
         "final_grad_norm_sq": trace.final_grad_norm_sq,
         "eps_hat": trace.eps_hat(),
-        "total_bits": int(trace.cum_bits[-1]) if trace.cum_bits.size else 0,
+        "total_bits": int(trace.cum_bits[-1]),
         "diverged": diverged_at is not None,
     }
     if diverged_at is not None:
@@ -366,12 +374,20 @@ def cmd_compare(config_mapping: dict, out_dir: Path, seed: int | None, record_gh
     section = decode(CompareSection, _section(config_mapping, "compare"), "compare")
     if not section.variants:
         raise ConfigError("compare.variants: need at least one variant")
+    # A label's str() names the variant's metrics file and summary keys.
+    printed: dict = {}
     for label in section.variants:
-        # The label names the variant's metrics file.
-        if any(sep and sep in str(label) for sep in ("/", os.sep, os.altsep, "\0")):
+        text = str(label)
+        if any(sep and sep in text for sep in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError(
                 f"compare.variants.{label}: a label cannot hold a path separator or NUL"
             )
+        if text in printed:
+            raise ConfigError(
+                f"compare.variants.{label}: the labels {printed[text]!r} and {label!r} "
+                f"would share metrics_{text}.csv"
+            )
+        printed[text] = label
 
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
@@ -407,7 +423,7 @@ def cmd_compare(config_mapping: dict, out_dir: Path, seed: int | None, record_gh
     return 3 if unexpected else 0
 
 
-def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None) -> int:
+def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None, record_ghost: bool) -> int:
     section = decode(SweepSection, _section(config_mapping, "sweep"), "sweep")
     if section.c0s is not None and section.alphas is not None:
         raise ConfigError("sweep: give either c0s or alphas, not both")
@@ -441,7 +457,8 @@ def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
     for label, overrides in cells:
-        config = _configure(_deep_merge(section.base, overrides), f"sweep.{label}", seed)
+        merged = _deep_merge(section.base, overrides)
+        config = _configure(merged, f"sweep.{label}", seed, record_ghost)
         trace, diverged_at = _run_and_record(config, out_dir / f"metrics_{label}.csv")
         summary[f"{label}.final_grad_norm_sq"] = trace.final_grad_norm_sq
         summary[f"{label}.diverged"] = diverged_at is not None
@@ -689,27 +706,26 @@ def main(argv=None) -> int:
         "with error compensation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("run", True), ("compare", True), ("verify", False), ("sweep", True)):
+    commands = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}
+    for name in (*commands, "verify"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="YAML config file")
-        p.add_argument("--out", default=None, help="output directory")
+        if name != "verify":
+            p.add_argument("--config", required=True, help="YAML config file")
+            p.add_argument("--record-ghost", action="store_true", help="record the ghost trajectory")
+        p.add_argument("--out", required=name != "verify", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--record-ghost", action="store_true", help="record the ghost trajectory")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or a usage error (its
+        # status 2, which this CLI keeps for a failed verification).
+        return 1 if exc.code else 0
     try:
         if args.command == "verify":
-            out = Path(args.out) if args.out else None
-            return cmd_verify(out, args.seed)
-        if args.out is None:
-            raise ConfigError(f"{args.command} needs --out")
+            return cmd_verify(Path(args.out) if args.out else None, args.seed)
         mapping = load_config_file(args.config)
-        out = Path(args.out)
-        if args.command == "run":
-            return cmd_run(mapping, out, args.seed, args.record_ghost)
-        if args.command == "compare":
-            return cmd_compare(mapping, out, args.seed, args.record_ghost)
-        return cmd_sweep(mapping, out, args.seed)
+        return commands[args.command](mapping, Path(args.out), args.seed, args.record_ghost)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

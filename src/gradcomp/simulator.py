@@ -57,9 +57,10 @@ Nothing a caller keeps points into these buffers: the StepResult arrays
 trace's x0 and v0 and the history rows (copies) are all new arrays, so no
 later step can change them.
 
-Step 0 is special: v_0 is a plain average of b0 stochastic gradients at x_0,
-communicated uncompressed, and x_1 = x_0 - gamma * v_0 happens before the
-compressed loop starts.
+Step 0 sends v_0, a plain average of b0 stochastic gradients at x_0,
+uncompressed, so its StepResult has x_next = x_0 - gamma * v_0, a_bar = v_0
+and zero residuals.  _Recorder records it like every later step, into
+columns allocated once, and derives cum_bits from wire_bits.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One step's outcome; a_bar and e_bar only when the run records history."""
+    """One step's outcome; run_step fills a_bar and e_bar only when the run records history."""
 
     x_next: np.ndarray
     v: np.ndarray
@@ -201,7 +202,6 @@ class StepResult:
     delta_bar: np.ndarray
     worker_delta_norm: float
     server_delta_norm: float
-    bits: int
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def run_step(
     """
     config = runtime.config
     schedule, scheme = config.schedule, config.scheme
-    n, dim = runtime.messages.shape
+    n = len(runtime.messages)
     alphas = (schedule.at(t), schedule.at(t - 1), schedule.at(t - 2))
     a_t = alphas[0]
     weighted = transmits_weighted_increment(scheme.kind)
@@ -257,7 +257,6 @@ def run_step(
         compress(row, runtime.worker_spec, step=t, node_id=i, out=(row, residuals[i]))
     shift_deltas(workers, residuals)
     broadcast = fixed_order_mean(messages, out=runtime.broadcast)
-    bits = n * message_bits(runtime.worker_spec, dim)
 
     if config.topology == "double_compression":
         e_srv = filter_update(server, scheme.beta, *alphas, scheme.kind)
@@ -267,14 +266,11 @@ def run_step(
             out=(broadcast, server.delta_2),
         )
         shift_deltas(server, server.delta_2)
-        bits += message_bits(runtime.server_spec, dim)
     else:
         # single_round broadcasts the average uncompressed; single_worker has
         # nobody to broadcast to.  Either way the server never filters or
         # compresses, so its e and residual stay zero.
         e_srv = server.e
-        if config.topology == "single_round":
-            bits += dim * FLOAT_BITS
     server_delta = server.delta_1
 
     estimator.advance(x_t)
@@ -296,104 +292,89 @@ def run_step(
         delta_bar=np.add(server_delta, worker_delta_mean, out=worker_delta_mean),
         worker_delta_norm=worker_delta_norm,
         server_delta_norm=float(np.linalg.norm(server_delta)),
-        bits=bits,
     )
 
 
-def _check_finite(t: int, x: np.ndarray, v: np.ndarray, build_partial) -> None:
-    diverged = not (np.isfinite(v).all() and np.isfinite(x).all())
-    if not diverged:
-        diverged = float(np.linalg.norm(x)) > DIVERGENCE_NORM
-    if diverged:
-        raise DivergenceError(t, build_partial())
+def wire_bits(runtime: Runtime) -> tuple[int, int]:
+    """(bits sent at step 0, bits sent at each later step) on the run's topology.
+
+    v_0 travels uncompressed: n worker contributions up and the estimate
+    down, or nothing on single_worker.  A later step sends the n compressed
+    messages up, then the compressed broadcast (double_compression), the
+    raw average (single_round) or nothing (single_worker).
+    """
+    topology = runtime.config.topology
+    n, dim = runtime.messages.shape
+    raw = dim * FLOAT_BITS
+    up = n * message_bits(runtime.worker_spec, dim)
+    if topology == "single_worker":
+        return 0, up
+    if topology == "single_round":
+        return (n + 1) * raw, up + raw
+    return (n + 1) * raw, up + message_bits(runtime.server_spec, dim)
 
 
 class _Recorder:
-    """Accumulates per-step rows and assembles the RunTrace."""
+    """Writes one row per step into columns allocated once, and builds the RunTrace."""
 
-    def __init__(self, config: RunConfig, problem, x0: np.ndarray, v0: np.ndarray):
-        self.config = config
-        self.problem = problem
+    def __init__(self, runtime: Runtime, x0: np.ndarray, v0: np.ndarray):
+        self.runtime = runtime
         self.x0 = x0
         self.v0 = v0
-        self.rows: list[tuple] = []
-        self.cum_bits = 0
-        dim = x0.size
-        if config.record_history:
-            t_max = config.steps
-            self.hist = RunHistory(
-                x=np.zeros((t_max, dim)),
-                v=np.zeros((t_max, dim)),
-                a_bar=np.zeros((t_max, dim)),
-                e_bar=np.zeros((t_max, dim)),
-                delta_bar=np.zeros((t_max, dim)),
-            )
-        else:
-            self.hist = None
+        self.rows = 0
+        t_max = runtime.config.steps
+        names = "loss grad_norm_sq v_norm worker_delta_norm server_delta_norm delta_bar_norm"
+        self.columns = {name: np.empty(t_max) for name in names.split()}
+        self.hist = None
+        if runtime.config.record_history:
+            shape = (t_max, x0.size)
+            self.hist = RunHistory(*(np.zeros(shape) for _ in dataclasses.fields(RunHistory)))
 
-    def record(
-        self,
-        t: int,
-        x_t: np.ndarray,
-        v_t: np.ndarray,
-        worker_delta_norm: float,
-        server_delta_norm: float,
-        delta_bar_norm: float,
-        bits: int,
-    ) -> None:
-        self.cum_bits += bits
-        g = full_grad(self.problem, x_t)
-        self.rows.append(
-            (
-                t,
-                loss(self.problem, x_t),
-                float(np.dot(g, g)),
-                float(np.linalg.norm(v_t)),
-                worker_delta_norm,
-                server_delta_norm,
-                delta_bar_norm,
-                self.cum_bits,
-            )
-        )
+    def record(self, t: int, x_t: np.ndarray, step: StepResult) -> None:
+        """Write row t from step (taken at x_t); raise if step.x_next escaped."""
+        problem = self.runtime.problem
+        g = full_grad(problem, x_t)
+        columns = self.columns
+        columns["loss"][t] = loss(problem, x_t)
+        columns["grad_norm_sq"][t] = float(np.dot(g, g))
+        columns["v_norm"][t] = float(np.linalg.norm(step.v))
+        columns["worker_delta_norm"][t] = step.worker_delta_norm
+        columns["server_delta_norm"][t] = step.server_delta_norm
+        columns["delta_bar_norm"][t] = float(np.linalg.norm(step.delta_bar))
+        if self.hist is not None:
+            self.hist.x[t] = x_t
+            self.hist.v[t] = step.v
+            self.hist.a_bar[t] = step.a_bar
+            self.hist.e_bar[t] = step.e_bar
+            self.hist.delta_bar[t] = step.delta_bar
+        self.rows = t + 1
 
-    def record_history(self, t, x_t, v_t, a_bar, e_bar, delta_bar) -> None:
-        if self.hist is None:
-            return
-        self.hist.x[t] = x_t
-        self.hist.v[t] = v_t
-        self.hist.a_bar[t] = a_bar
-        self.hist.e_bar[t] = e_bar
-        self.hist.delta_bar[t] = delta_bar
+        x, v = step.x_next, step.v
+        diverged = not (np.isfinite(v).all() and np.isfinite(x).all())
+        if diverged or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+            raise DivergenceError(t, self.build(x))
 
     def build(self, final_x: np.ndarray) -> RunTrace:
-        cols = list(zip(*self.rows))
-        t_effective = len(self.rows)
+        """The trace of the rows written so far, ending at final_x."""
+        rows = self.rows
         hist = self.hist
-        if hist is not None and t_effective < self.config.steps:
-            hist = RunHistory(
-                x=hist.x[:t_effective],
-                v=hist.v[:t_effective],
-                a_bar=hist.a_bar[:t_effective],
-                e_bar=hist.e_bar[:t_effective],
-                delta_bar=hist.delta_bar[:t_effective],
-            )
-        g_final = full_grad(self.problem, final_x)
+        if hist is not None:
+            hist = RunHistory(**{name: array[:rows] for name, array in vars(hist).items()})
+        steps = np.arange(rows, dtype=np.int64)
+        bits0, bits_per_step = wire_bits(self.runtime)
+        problem = self.runtime.problem
+        g_final = full_grad(problem, final_x)
         return RunTrace(
-            config=self.config,
-            steps=np.asarray(cols[0], dtype=np.int64),
-            loss=np.asarray(cols[1]),
-            grad_norm_sq=np.asarray(cols[2]),
-            v_norm=np.asarray(cols[3]),
-            worker_delta_norm=np.asarray(cols[4]),
-            server_delta_norm=np.asarray(cols[5]),
-            delta_bar_norm=np.asarray(cols[6]),
-            cum_bits=np.asarray(cols[7], dtype=np.int64),
+            config=self.runtime.config,
+            steps=steps,
+            **{name: column[:rows] for name, column in self.columns.items()},
+            cum_bits=bits0 + bits_per_step * steps,
             x0=self.x0,
             v0=self.v0,
             final_x=final_x,
-            final_loss=loss(self.problem, final_x),
+            final_loss=loss(problem, final_x),
             final_grad_norm_sq=float(np.dot(g_final, g_final)),
-            t_effective=t_effective,
+            t_effective=rows,
             history=hist,
         )
 
@@ -460,14 +441,13 @@ def run(config: RunConfig) -> RunTrace:
     workers = CompensationState.zeros((n, dim))
     server = CompensationState.zeros(dim)
 
-    recorder = _Recorder(config, problem, x0, v0)
-    # Step 0: v0 travels uncompressed (worker contributions up, estimate down).
-    bits0 = 0 if config.topology == "single_worker" else (n + 1) * dim * FLOAT_BITS
-    recorder.record(0, x0, v0, 0.0, 0.0, 0.0, bits0)
-    recorder.record_history(0, x0, v0, v0, np.zeros(dim), np.zeros(dim))
-
-    x = x0 - config.gamma * v0
-    _check_finite(0, x, v0, lambda: recorder.build(x))
+    recorder = _Recorder(runtime, x0, v0)
+    # Step 0: v0 travelled uncompressed and x_1 = x0 - gamma * v0.  Its zero
+    # rows are read-only views of one scalar, so they hold no memory.
+    zero = np.broadcast_to(0.0, (dim,))
+    step = StepResult(x0 - config.gamma * v0, v0, a_bar=v0, e_bar=zero, delta_bar=zero,
+                      worker_delta_norm=0.0, server_delta_norm=0.0)
+    recorder.record(0, x0, step)
 
     block_steps = max(1, SAMPLE_BLOCK // (n * config.problem.batch_size))
     for t in range(1, config.steps):
@@ -475,18 +455,8 @@ def run(config: RunConfig) -> RunTrace:
         if offset == 0:
             t_end = min(t + block_steps, config.steps)
             block = fleet_minibatches(problem, shards, t, t_end, config.seed)
-        result = run_step(t, x, estimator, workers, server, runtime, block[offset])
-        recorder.record(
-            t,
-            x,
-            result.v,
-            result.worker_delta_norm,
-            result.server_delta_norm,
-            float(np.linalg.norm(result.delta_bar)),
-            result.bits,
-        )
-        recorder.record_history(t, x, result.v, result.a_bar, result.e_bar, result.delta_bar)
-        _check_finite(t, result.x_next, result.v, lambda: recorder.build(result.x_next))
-        x = result.x_next
+        x = step.x_next
+        step = run_step(t, x, estimator, workers, server, runtime, block[offset])
+        recorder.record(t, x, step)
 
-    return recorder.build(x)
+    return recorder.build(step.x_next)

@@ -409,6 +409,31 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     assert err.startswith("config error: compare.variants.a/b:")
     assert "Traceback" not in err
 
+    # The labels 1 and "1" differ as YAML keys but would share metrics_1.csv.
+    twins = write_config(
+        tmp_path, "compare: {base: {steps: 2}, variants: {1: {gamma: 0.1}, \"1\": {gamma: 0.2}}}\n",
+        "twins.yaml",
+    )
+    assert main(["compare", "--config", twins, "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: compare.variants.1: the labels 1 and '1' ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "t").exists()
+
+    # Usage errors exit 1 too: status 2 means a failed verification.
+    usage = {
+        "verify takes neither --config nor --record-ghost": [
+            "verify", "--config", missing, "--record-ghost", "--out", str(tmp_path / "v")],
+        "run needs --config": ["run", "--out", str(tmp_path / "r")],
+    }
+    for why, argv in usage.items():
+        assert main(argv) == 1, why
+        err = capsys.readouterr().err
+        assert "error:" in err, why
+        assert "Traceback" not in err
+    assert not (tmp_path / "v").exists()
+    assert not (tmp_path / "r").exists()
+
 
 def test_module_entry_point_runs_a_config(tmp_path):
     config = write_config(tmp_path, QUAD_RUN)
@@ -548,16 +573,21 @@ def test_cli_sweep_cells_match_single_runs_byte_for_byte(tmp_path, capsys):
     steps: 15
     seed: 4
 """
-    # With record_ghost in the base, every cell must carry the ghost column
-    # that run --record-ghost writes.
-    for ghost, base in ((False, plain), (True, plain + "    record_ghost: true\n")):
-        root = tmp_path / f"ghost_{ghost}"
+    # With record_ghost in the base, or with the --record-ghost flag, every
+    # cell must carry the ghost column that run --record-ghost writes.
+    cases = (
+        ("ghost_False", False, plain, []),
+        ("ghost_True", True, plain + "    record_ghost: true\n", []),
+        ("ghost_flag", True, plain, ["--record-ghost"]),
+    )
+    for name, ghost, base, sweep_flags in cases:
+        root = tmp_path / name
         root.mkdir()
         config = write_config(
             root, "sweep:\n  base:" + base + "  gammas: [0.1, 0.01]\n  alphas: [1.0, 0.5]\n"
         )
         out = root / "sweep"
-        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert main(["sweep", "--config", config, "--out", str(out)] + sweep_flags) == 0
         capsys.readouterr()
 
         summary = []

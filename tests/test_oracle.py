@@ -174,6 +174,30 @@ def test_identity_failure_raises():
         verify_residual_identity(trace, tolerance=1e-18)
 
 
+@pytest.mark.parametrize("compressor", ["one_bit", "top_k"])
+@pytest.mark.parametrize("scheme_kind", ["none", "single", "two_step"])
+def test_residual_identity_holds_on_a_large_fleet(scheme_kind, compressor):
+    """The closed form beyond toy sizes: n = 64 workers at d = 10^4.
+
+    A quadratic stands in for lin_reg, whose generator would need a
+    10^4 x 10^4 SVD at this width.
+    """
+    config = RunConfig(
+        problem=ProblemSpec(kind="quadratic", spectrum=tuple(np.geomspace(1.0, 0.01, 10_000))),
+        estimator="momentum",
+        schedule=AlphaSchedule(kind="constant", alpha=0.5),
+        scheme=SchemeSpec(kind=scheme_kind, beta=1.0),
+        compressor=CompressorSpec(compressor, k=100),
+        n_workers=64,
+        steps=40,
+        gamma=0.1,
+        record_history=True,
+    )
+    report = verify_residual_identity(run(config))
+    assert report.max_rel_error <= 1e-9
+    assert report.resolved_sign == (1 if scheme_kind == "two_step" else None)
+
+
 # ---------------------------------------------------------------------------
 # scheme comparison
 

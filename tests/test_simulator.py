@@ -260,9 +260,16 @@ def test_divergence_raises_with_the_partial_trace():
     exc = excinfo.value
     assert exc.step >= 1
     assert exc.trace is not None
-    assert exc.trace.t_effective == exc.step + 1
-    assert np.array_equal(exc.trace.steps, np.arange(exc.step + 1))
-    assert exc.trace.history.x.shape == (exc.step + 1, 1)
+    trace = exc.trace
+    assert trace.t_effective == exc.step + 1
+    assert np.array_equal(trace.steps, np.arange(exc.step + 1))
+    columns = (trace.steps, trace.loss, trace.grad_norm_sq, trace.v_norm, trace.worker_delta_norm,
+               trace.server_delta_norm, trace.delta_bar_norm, trace.cum_bits)
+    history = tuple(vars(trace.history).values())
+    assert len(history) == 5
+    for array in columns + history:
+        assert len(array) == trace.t_effective
+    assert trace.history.x.shape == (exc.step + 1, 1)
     # the iterate really did escape
     assert np.linalg.norm(exc.trace.final_x) > 1e12
 
@@ -376,18 +383,18 @@ def test_bit_accounting_per_topology():
         steps=3,
         gamma=0.01,
     )
-    per_message = 10 + 64
-
+    # one_bit: 10 sign bits and a 64-bit scale.  Step 0 sends v0 raw, four
+    # worker contributions up and the estimate down: 5 * 10 * 64 = 3200.
     double = run(RunConfig(topology="double_compression", n_workers=4, **base))
-    assert double.cum_bits[0] == 5 * 10 * 64
-    assert double.cum_bits[2] == 5 * 10 * 64 + 2 * (4 * per_message + per_message)
+    assert double.cum_bits.dtype == np.int64
+    assert double.cum_bits.tolist() == [3200, 3200 + 5 * 74, 3200 + 2 * 5 * 74]
 
+    # the server broadcasts the raw average: 4 * 74 + 10 * 64 = 936 a step
     single_round = run(RunConfig(topology="single_round", n_workers=4, **base))
-    assert single_round.cum_bits[2] == 5 * 10 * 64 + 2 * (4 * per_message + 10 * 64)
+    assert single_round.cum_bits.tolist() == [3200, 3200 + 936, 3200 + 2 * 936]
 
     solo = run(RunConfig(topology="single_worker", n_workers=1, **base))
-    assert solo.cum_bits[0] == 0
-    assert solo.cum_bits[2] == 2 * per_message
+    assert solo.cum_bits.tolist() == [0, 74, 2 * 74]
 
 
 def test_server_compression_only_in_double_topology():
