@@ -23,6 +23,7 @@ a problem's own grad_at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,9 @@ class AlphaSchedule:
             raise ConfigError(
                 f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}"
             )
+        for name in ("alpha", "c0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "constant" and not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"constant alpha must be in (0, 1], got {self.alpha}")
         if self.kind == "inverse_linear" and self.c0 <= 0.0:

@@ -13,10 +13,21 @@ Datasets are fixed at construction; all stochasticity during optimization
 comes from minibatch sampling with replacement, keyed by SampleHandle so any
 draw can be replayed at a different point (needed by estimators that evaluate
 the same sample at two iterates).
+
+A problem's arrays (x_mat, y, w_true; h for quadratic) are read-only, so a
+problem can be shared between runs without one run's writes reaching the
+next.  The two dataset kinds start loss and full_grad from the same pass
+over the data, the residual Xx - y (lin_reg) or the margin y * Xx (log_reg),
+and keep the last one in a one-entry memo keyed on the bytes of x: a loss
+right after a full_grad at the same point (as the simulator's recorder
+does) reads the data once.  The memoised vector is read-only too, and the
+memo holds a single vector per problem.  A quadratic has no memo: its pass
+is h * x, which costs no more than copying x into a key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,10 +68,16 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, expected one of {KINDS}")
+        for name in ("noise_std", "l2_reg", "condition"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(map(math.isfinite, self.spectrum)):
+            bad = next(v for v in self.spectrum if not math.isfinite(v))
+            raise ConfigError(f"spectrum must be finite, got {bad}")
         if self.kind == "quadratic":
             if len(self.spectrum) == 0:
                 raise ConfigError("quadratic problem needs a non-empty spectrum")
-            if any(v < 0 for v in self.spectrum):
+            if min(self.spectrum) < 0:
                 raise ConfigError("quadratic spectrum must be non-negative")
         else:
             if self.dim < 1:
@@ -129,6 +146,7 @@ class Quadratic:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.h = np.asarray(spec.spectrum, dtype=np.float64)
+        self.h.flags.writeable = False
         self.dim = self.h.size
         self.n_samples = 0
 
@@ -154,8 +172,12 @@ class Quadratic:
         return self.smoothness()
 
 
-class LinearRegression:
-    """f(x) = (1/2N) ||Xx - y||^2 with an exactly conditioned design."""
+class _Dataset:
+    """What lin_reg and log_reg share: the designed data and the memoised pass.
+
+    A subclass draws its labels in _labels and defines the pass over the
+    data that loss and full_grad both start from in _compute_pass.
+    """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -165,14 +187,45 @@ class LinearRegression:
         self.x_mat = _designed_matrix(rng, spec.n_samples, spec.dim, spec.condition)
         w = rng.standard_normal(spec.dim)
         self.w_true = w / np.linalg.norm(w)
-        self.y = self.x_mat @ self.w_true + spec.noise_std * rng.standard_normal(spec.n_samples)
+        self.y = self._labels(rng)
+        for array in (self.x_mat, self.w_true, self.y):
+            array.flags.writeable = False
+        self._memo = (None, None)
+
+    def _pass(self, x) -> np.ndarray:
+        """_compute_pass(x), read-only; a repeat at the same bytes of x reuses it."""
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.shape, x.tobytes())
+        memo_key, value = self._memo
+        if memo_key != key:
+            value = self._compute_pass(x)
+            value.flags.writeable = False
+            self._memo = (key, value)
+        return value
+
+    def smoothness_per_sample(self) -> float:
+        return float((self.x_mat * self.x_mat).sum(axis=1).max())
+
+    def target(self) -> np.ndarray:
+        return self.y
+
+
+class LinearRegression(_Dataset):
+    """f(x) = (1/2N) ||Xx - y||^2 with an exactly conditioned design."""
+
+    def _labels(self, rng) -> np.ndarray:
+        return self.x_mat @ self.w_true + self.spec.noise_std * rng.standard_normal(self.n_samples)
+
+    def _compute_pass(self, x) -> np.ndarray:
+        """The residual Xx - y."""
+        return self.x_mat @ x - self.y
 
     def loss(self, x) -> float:
-        r = self.x_mat @ x - self.y
+        r = self._pass(x)
         return float(0.5 * np.dot(r, r) / self.n_samples)
 
     def full_grad(self, x) -> np.ndarray:
-        return self.x_mat.T @ (self.x_mat @ x - self.y) / self.n_samples
+        return self.x_mat.T @ self._pass(x) / self.n_samples
 
     def grad_at(self, x, indices) -> np.ndarray:
         rows = self.x_mat[indices]
@@ -189,30 +242,21 @@ class LinearRegression:
         gram = self.x_mat.T @ self.x_mat / self.n_samples
         return float(np.linalg.eigvalsh(gram).max())
 
-    def smoothness_per_sample(self) -> float:
-        return float((self.x_mat * self.x_mat).sum(axis=1).max())
 
-    def target(self) -> np.ndarray:
-        return self.y
-
-
-class LogisticRegression:
+class LogisticRegression(_Dataset):
     """f(x) = mean log(1 + exp(-y_j x'a_j)) + (l2/2)||x||^2, labels y in {-1,+1}."""
 
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        self.dim = spec.dim
-        self.n_samples = spec.n_samples
-        rng = keyed_generator(spec.seed, STREAM_DATA)
-        self.x_mat = _designed_matrix(rng, spec.n_samples, spec.dim, spec.condition)
-        w = rng.standard_normal(spec.dim)
-        self.w_true = w / np.linalg.norm(w)
+    def _labels(self, rng) -> np.ndarray:
         margin = self.x_mat @ self.w_true
         p = 1.0 / (1.0 + np.exp(-4.0 * margin))
-        self.y = np.where(rng.random(spec.n_samples) < p, 1.0, -1.0)
+        return np.where(rng.random(self.n_samples) < p, 1.0, -1.0)
+
+    def _compute_pass(self, x) -> np.ndarray:
+        """The margins y * Xx."""
+        return self.y * (self.x_mat @ x)
 
     def loss(self, x) -> float:
-        m = self.y * (self.x_mat @ x)
+        m = self._pass(x)
         # log(1 + exp(-m)) evaluated stably for both signs of m.
         val = np.logaddexp(0.0, -m).mean()
         return float(val + 0.5 * self.spec.l2_reg * np.dot(x, x))
@@ -221,8 +265,7 @@ class LogisticRegression:
         return 1.0 / (1.0 + np.exp(m))
 
     def full_grad(self, x) -> np.ndarray:
-        m = self.y * (self.x_mat @ x)
-        coeff = -self.y * self._sigma_neg(m)
+        coeff = -self.y * self._sigma_neg(self._pass(x))
         return self.x_mat.T @ coeff / self.n_samples + self.spec.l2_reg * np.asarray(x)
 
     def grad_at(self, x, indices) -> np.ndarray:
@@ -237,10 +280,7 @@ class LogisticRegression:
         return float(op * op / (4.0 * self.n_samples) + self.spec.l2_reg)
 
     def smoothness_per_sample(self) -> float:
-        return float((self.x_mat * self.x_mat).sum(axis=1).max() / 4.0 + self.spec.l2_reg)
-
-    def target(self) -> np.ndarray:
-        return self.y
+        return super().smoothness_per_sample() / 4.0 + self.spec.l2_reg
 
 
 def make_problem(spec: ProblemSpec):

@@ -57,6 +57,19 @@ Nothing a caller keeps points into these buffers: the StepResult arrays
 trace's x0 and v0 and the history rows (copies) are all new arrays, so no
 later step can change them.
 
+A problem without data (a quadratic) ignores the minibatch, so run_step
+evaluates its estimate once and writes it into every row of the messages,
+the same bits n separate evaluations would give.
+
+One problem per spec.  build_context keeps the last (ProblemSpec, problem)
+pair it built, and a config whose problem spec equals that spec reuses the
+problem instead of rebuilding its dataset; run, the oracle replays and the
+harness flows all go through it.  Before it builds a problem for a
+different spec it drops the old pair, so the cache never holds two
+datasets at once.  A problem's arrays are read-only (see problems), so no
+run can change what the next one reads.  make_problem itself builds a new
+problem on every call.
+
 Step 0 sends v_0, a plain average of b0 stochastic gradients at x_0,
 uncompressed, so its StepResult has x_next = x_0 - gamma * v_0, a_bar = v_0
 and zero residuals.  _Recorder records it like every later step, into
@@ -246,8 +259,12 @@ def run_step(
     # The residual buffer of step t-2 is dead once the filter has read it.
     residuals = workers.delta_2
     messages = runtime.messages
-    for i in range(n):
-        messages[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
+    if runtime.problem.n_samples == 0:
+        # No data, so every worker's estimate is the same computation.
+        messages[:] = estimator.eval_a(x_t, batches[0], a_t, runtime.problem.grad_at)
+    else:
+        for i in range(n):
+            messages[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
     a_bar = fixed_order_mean(messages) if config.record_history else None
     if weighted:
         np.multiply(messages, a_t, out=messages)
@@ -331,7 +348,11 @@ class _Recorder:
             self.hist = RunHistory(*(np.zeros(shape) for _ in dataclasses.fields(RunHistory)))
 
     def record(self, t: int, x_t: np.ndarray, step: StepResult) -> None:
-        """Write row t from step (taken at x_t); raise if step.x_next escaped."""
+        """Write row t from step (taken at x_t); raise if step.x_next escaped.
+
+        loss right after full_grad at the same point reuses the problem's
+        memoised pass over the data (see problems).
+        """
         problem = self.runtime.problem
         g = full_grad(problem, x_t)
         columns = self.columns
@@ -399,6 +420,10 @@ def _check_history_fits(config: RunConfig) -> None:
         )
 
 
+# The last (ProblemSpec, problem) pair build_context built; see the module docstring.
+_last_problem: tuple[ProblemSpec, object] | None = None
+
+
 def build_context(config: RunConfig):
     """(problem, shards, grad): the set-up run and every oracle replay share.
 
@@ -406,7 +431,11 @@ def build_context(config: RunConfig):
     the run seed salts every sample handle of grad, so runs that differ
     only in seed share the data and its split but draw other minibatches.
     """
-    problem = make_problem(config.problem)
+    global _last_problem
+    if _last_problem is None or _last_problem[0] != config.problem:
+        _last_problem = None  # let the old dataset go before the new one is built
+        _last_problem = (config.problem, make_problem(config.problem))
+    problem = _last_problem[1]
     shards = partition_data(problem, config.n_workers, config.problem.seed, config.heterogeneity)
     return problem, shards, shard_sampler(problem, shards, salt=config.seed)
 

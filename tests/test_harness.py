@@ -235,6 +235,22 @@ def test_mistyped_values_are_rejected_by_dotted_path(mapping, path):
         parse_run_config(mapping)
 
 
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ({"problem": {"kind": "lin_reg", "dim": 2, "n_samples": 4, "noise_std": float("nan")}},
+         "run.problem: noise_std must be finite, got nan"),
+        ({"problem": {"kind": "quadratic", "spectrum": [1, float("inf")]}},
+         "run.problem: spectrum must be finite, got inf"),
+        ({"schedule": {"kind": "inverse_linear", "c0": float("inf")}},
+         "run.schedule: c0 must be finite, got inf"),
+    ],
+)
+def test_non_finite_values_are_rejected_by_dotted_path(mapping, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_run_config(mapping)
+
+
 def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config_file(tmp_path / "missing.yaml")

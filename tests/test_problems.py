@@ -129,12 +129,57 @@ def test_per_sample_smoothness_dominates_mean_smoothness(spec):
 def test_same_spec_rebuilds_the_same_dataset():
     a = make_problem(LIN)
     b = make_problem(LIN)
+    assert a is not b
     assert np.array_equal(a.x_mat, b.x_mat)
     assert np.array_equal(a.y, b.y)
     shifted = make_problem(
         ProblemSpec(kind="lin_reg", dim=6, n_samples=48, noise_std=0.1, condition=10.0, seed=4)
     )
     assert not np.array_equal(a.x_mat, shifted.x_mat)
+
+
+def unmemoised(problem, x):
+    """(loss, full_grad) by the formulas written out, with no shared pass."""
+    x_mat, y, n = problem.x_mat, problem.y, problem.n_samples
+    if problem.spec.kind == "lin_reg":
+        r = x_mat @ x - y
+        return float(0.5 * np.dot(r, r) / n), x_mat.T @ (x_mat @ x - y) / n
+    l2 = problem.spec.l2_reg
+    m = y * (x_mat @ x)
+    value = float(np.logaddexp(0.0, -m).mean() + 0.5 * l2 * np.dot(x, x))
+    m = y * (x_mat @ x)
+    grad = x_mat.T @ (-y * (1.0 / (1.0 + np.exp(m)))) / n + l2 * x
+    return value, grad
+
+
+def assert_matches_unmemoised(problem, x):
+    expected_loss, expected_grad = unmemoised(problem, x.copy())
+    got_grad = full_grad(problem, x)
+    got_loss = loss(problem, x)
+    assert np.float64(got_loss).tobytes() == np.float64(expected_loss).tobytes()
+    assert got_grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", [LIN, LOG], ids=["lin_reg", "log_reg"])
+def test_memoised_pass_gives_the_unmemoised_bits(spec):
+    problem = make_problem(spec)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(spec.dim)
+    x[0] = -0.0
+    signed_zero = x.copy()
+    signed_zero[0] = 0.0
+    with_nan = x.copy()
+    with_nan[1] = np.nan
+    assert_matches_unmemoised(problem, x)            # cold memo
+    assert_matches_unmemoised(problem, x)            # warm memo
+    assert_matches_unmemoised(problem, signed_zero)  # warmed by an x that compares equal
+    assert_matches_unmemoised(problem, with_nan)
+    assert_matches_unmemoised(problem, with_nan)     # NaN bytes hit the memo
+    assert_matches_unmemoised(problem, x)            # warmed by a different x
+    x[2] += 1.0                                      # same object, new bytes
+    assert_matches_unmemoised(problem, x)
+    assert np.isnan(loss(problem, with_nan))
 
 
 # ---------------------------------------------------------------------------

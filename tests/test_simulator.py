@@ -6,6 +6,10 @@ mirror what one step is supposed to do, kept deliberately free of the
 package's own compression and compensation helpers.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,8 +21,10 @@ from gradcomp import (
     ProblemSpec,
     RunConfig,
     SchemeSpec,
+    make_problem,
     run,
     scheme_coefficients,
+    simulator,
 )
 
 QUAD2 = ProblemSpec(kind="quadratic", spectrum=(1.0, 2.0))
@@ -53,11 +59,25 @@ def test_config_validation():
         RunConfig(problem=QUAD2, seed=-1)
 
 
-@pytest.mark.parametrize("field", ["gamma", "heterogeneity", "x0_scale"])
+# Each field that takes a float, built with the value under test.
+NON_FINITE_FIELDS = {
+    "gamma": lambda v: RunConfig(problem=QUAD2, gamma=v),
+    "heterogeneity": lambda v: RunConfig(problem=QUAD2, heterogeneity=v),
+    "x0_scale": lambda v: RunConfig(problem=QUAD2, x0_scale=v),
+    "spectrum": lambda v: ProblemSpec(kind="quadratic", spectrum=(1.0, v)),
+    "noise_std": lambda v: dataclasses.replace(LIN, noise_std=v),
+    "l2_reg": lambda v: ProblemSpec(kind="log_reg", dim=2, n_samples=4, l2_reg=v),
+    "condition": lambda v: dataclasses.replace(LIN, condition=v),
+    "alpha": lambda v: AlphaSchedule(kind="inverse_t", alpha=v),
+    "c0": lambda v: AlphaSchedule(kind="inverse_linear", c0=v),
+}
+
+
+@pytest.mark.parametrize("field", list(NON_FINITE_FIELDS))
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_config_values_are_rejected_by_name(field, value):
-    with pytest.raises(ConfigError, match=field):
-        RunConfig(problem=QUAD2, **{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        NON_FINITE_FIELDS[field](value)
 
 
 def test_compressor_seeds_inherit_the_run_seed():
@@ -281,8 +301,6 @@ def test_divergence_raises_with_the_partial_trace():
 @pytest.mark.parametrize("topology", ["double_compression", "single_round"])
 def test_kept_arrays_never_change_after_their_step(monkeypatch, topology):
     """Steps overwrite run-owned buffers; nothing a caller keeps may alias them."""
-    from gradcomp import simulator
-
     kept = []
     original = simulator.run_step
 
@@ -316,8 +334,6 @@ def test_kept_arrays_never_change_after_their_step(monkeypatch, topology):
 
 
 def test_history_larger_than_physical_memory_is_rejected_up_front(monkeypatch):
-    from gradcomp import simulator
-
     def no_dataset(spec):
         raise AssertionError("make_problem ran before the history check")
 
@@ -329,6 +345,71 @@ def test_history_larger_than_physical_memory_is_rejected_up_front(monkeypatch):
     # without the history the same config goes on to build its problem
     with pytest.raises(AssertionError, match="make_problem"):
         run(RunConfig(problem=spec, steps=10_000))
+
+
+# ---------------------------------------------------------------------------
+# the one-entry problem cache
+
+
+def test_an_equal_spec_reuses_the_problem_and_a_new_spec_evicts_it(monkeypatch):
+    first = simulator.build_context(RunConfig(problem=LIN, n_workers=2))[0]
+    again = simulator.build_context(
+        RunConfig(problem=dataclasses.replace(LIN), n_workers=3, seed=8)
+    )[0]
+    assert again is first
+    gone = weakref.ref(first)
+    del first, again
+
+    def build(spec):
+        gc.collect()
+        assert gone() is None, "the old problem was still held while the next was built"
+        return make_problem(spec)
+
+    monkeypatch.setattr(simulator, "make_problem", build)
+    other = dataclasses.replace(LIN, seed=4)
+    problem = simulator.build_context(RunConfig(problem=other))[0]
+    assert problem.spec == other
+    assert simulator.build_context(RunConfig(problem=other))[0] is problem
+
+
+@pytest.mark.parametrize("spec", [QUAD2, LIN], ids=["quadratic", "lin_reg"])
+def test_a_cached_problems_arrays_are_read_only(spec):
+    problem = simulator.build_context(RunConfig(problem=spec))[0]
+    names = ("h",) if spec.kind == "quadratic" else ("x_mat", "y", "w_true")
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem, name)[0] = 1.0
+    if spec.kind != "quadratic":
+        with pytest.raises(ValueError, match="read-only"):
+            problem._pass(np.ones(spec.dim))[0] = 1.0
+
+
+def test_traces_do_not_depend_on_what_the_cache_holds():
+    config = RunConfig(
+        problem=LIN,
+        estimator="storm",
+        schedule=AlphaSchedule(kind="inverse_linear", c0=0.1),
+        scheme=SchemeSpec(kind="two_step", beta=0.3),
+        compressor=CompressorSpec("top_k", k=3),
+        n_workers=2,
+        steps=40,
+        gamma=0.05,
+        b0=2,
+        record_history=True,
+    )
+
+    def fields(trace):
+        return [trace.final_x, trace.final_loss, trace.final_grad_norm_sq, trace.loss,
+                trace.grad_norm_sq, trace.delta_bar_norm, *vars(trace.history).values()]
+
+    simulator.build_context(RunConfig(problem=QUAD2))
+    cold = run(config)
+    warm = run(config)
+    run(RunConfig(problem=dataclasses.replace(LIN, seed=4), steps=5))
+    after_other = run(config)
+    for trace in (warm, after_other):
+        for a, b in zip(fields(cold), fields(trace), strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 # ---------------------------------------------------------------------------
