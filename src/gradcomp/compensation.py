@@ -33,21 +33,18 @@ in which all three schemes are written at the v-update level:
 with eta1 = eta2 = 1 for none/single (undamped error) and eta1 = eta2 = a_t
 for two_step (damped error).
 
-Buffer ownership.  A state owns two e-sized buffers and two tile buffers,
-built on first use (zeros() starts e in the first).  filter_update writes
-the new e_t into whichever of the two is not the current e, tile by tile
-through the tile buffers, and rebinds e to it; it allocates nothing once
-the buffers exist.  So the array it returns stays unchanged until the
-second call after it, two consecutive results never share memory, and an
-e that a caller assigned is never written to.  The residual buffers are
-never written here; shift_deltas only rebinds them.  compensate writes
-into out when one is given (out may be the message itself) and otherwise
-returns a new array.
+Buffer ownership.  filter_update writes the new e_t over the old one, tile
+by tile: each tile of e is read before it is written, so the result is the
+same bits as the allocating expression above.  It returns state.e itself,
+so a caller that keeps an e across a later call must copy it.  The
+residual buffers are never written here; shift_deltas only rebinds them.
+compensate writes into out when one is given (out may be the message
+itself) and otherwise returns a new array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +53,7 @@ from .errors import ConfigError
 KINDS = ("none", "single", "two_step")
 
 # Elements per filter tile: 32 Ki float64 = 256 KiB, so a tile's operands
-# stay in a 4 MiB L2 cache between its elementwise operations.  A state of
-# at most this many elements is filtered as one tile, without slicing.
+# stay in a 4 MiB L2 cache between its elementwise operations.
 FILTER_TILE = 2**15
 
 
@@ -91,33 +87,10 @@ class CompensationState:
     e: np.ndarray
     delta_1: np.ndarray
     delta_2: np.ndarray
-    # filter_update's own buffers: two for e to alternate between, then two
-    # tile buffers for the intermediate terms.
-    scratch: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, shape: int | tuple[int, ...]) -> "CompensationState":
-        state = cls(e=np.zeros(shape), delta_1=np.zeros(shape), delta_2=np.zeros(shape))
-        state.scratch = _scratch(state.e)
-        return state
-
-
-def _scratch(e: np.ndarray) -> tuple[np.ndarray, ...]:
-    tile = e.shape if e.size <= FILTER_TILE else (FILTER_TILE,)
-    return (e, np.empty(e.shape), np.empty(tile), np.empty(tile))
-
-
-def _next_buffers(state: CompensationState) -> tuple[np.ndarray, ...]:
-    """The buffer the next e goes into, then the two tile buffers."""
-    e = state.e
-    if state.scratch is not None:
-        first, second, s1, s2 = state.scratch
-        if e is first:
-            return second, s1, s2
-        if e is second or first.shape == e.shape:
-            return first, s1, s2
-    state.scratch = _scratch(np.empty(e.shape))
-    return state.scratch[0], *state.scratch[2:]
+        return cls(e=np.zeros(shape), delta_1=np.zeros(shape), delta_2=np.zeros(shape))
 
 
 def scheme_coefficients(kind: str, alpha_t: float) -> tuple[float, float, float, float]:
@@ -155,7 +128,7 @@ def filter_update(
     alpha_t2: float,
     kind: str,
 ) -> np.ndarray:
-    """Advance the low-pass filter and return the new e_t.
+    """Advance the low-pass filter in place and return state.e, now e_t.
 
     The residual buffers are left untouched; they shift only after the node
     compressed its message (shift_deltas).  Every element goes through the
@@ -167,36 +140,39 @@ def filter_update(
         raise ConfigError(f"alpha_t must be positive, got {alpha_t}")
     if kind not in KINDS:
         raise ConfigError(f"unknown scheme kind {kind!r}, expected one of {KINDS}")
-    new, *tiles = _next_buffers(state)
+    e = state.e
+    if not e.flags.c_contiguous:
+        raise ConfigError("filter_update writes e in place, so e must be C-contiguous")
+    if not e.shape == state.delta_1.shape == state.delta_2.shape:
+        raise ConfigError(
+            f"shape mismatch: e {e.shape}, delta_1 {state.delta_1.shape}, "
+            f"delta_2 {state.delta_2.shape}"
+        )
     if kind == "none":
-        new.fill(0.0)
-    else:
-        keep = 1.0 - beta
-        if kind == "two_step":
-            w1 = (alpha_t1 / alpha_t) * (2.0 - alpha_t)
-            w2 = (alpha_t2 / alpha_t) * (1.0 - alpha_t)
-        size = new.size
-        arrays = (new, state.e, state.delta_1, state.delta_2)
-        if size > FILTER_TILE:
-            arrays = tuple(a.reshape(-1) for a in arrays)
-        for lo in range(0, size, FILTER_TILE):
-            if size <= FILTER_TILE:  # one tile: the arrays themselves
-                out, e, d1, d2 = arrays
-                s1, s2 = tiles
-            else:
-                out, e, d1, d2 = (a[lo : lo + FILTER_TILE] for a in arrays)
-                s1, s2 = (t[: out.size] for t in tiles)
-            if kind == "single":
-                np.multiply(d1, beta, out=s1)
-            else:
-                np.multiply(d1, w1, out=s1)
-                np.multiply(d2, w2, out=s2)
-                np.subtract(s1, s2, out=s1)
-                np.multiply(s1, beta, out=s1)
-            np.multiply(e, keep, out=s2)
-            np.add(s2, s1, out=out)
-    state.e = new
-    return new
+        e.fill(0.0)
+        return e
+    keep = 1.0 - beta
+    if kind == "two_step":
+        w1 = (alpha_t1 / alpha_t) * (2.0 - alpha_t)
+        w2 = (alpha_t2 / alpha_t) * (1.0 - alpha_t)
+    tiles = [(e, state.delta_1, state.delta_2)]
+    if e.size > FILTER_TILE:
+        flat = [a.reshape(-1) for a in tiles[0]]
+        tiles = [[a[lo : lo + FILTER_TILE] for a in flat] for lo in range(0, e.size, FILTER_TILE)]
+    shape = tiles[0][0].shape
+    buffers = np.empty(shape), np.empty(shape)
+    for out, d1, d2 in tiles:
+        s1, s2 = (b[: len(out)] for b in buffers)
+        if kind == "single":
+            np.multiply(d1, beta, out=s1)
+        else:
+            np.multiply(d1, w1, out=s1)
+            np.multiply(d2, w2, out=s2)
+            np.subtract(s1, s2, out=s1)
+            np.multiply(s1, beta, out=s1)
+        np.multiply(out, keep, out=s2)
+        np.add(s2, s1, out=out)
+    return e
 
 
 def compensate(message: np.ndarray, e_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -151,14 +151,19 @@ def init_v0(x0: np.ndarray, b0: int, grad, n_workers: int = 1) -> np.ndarray:
 
     Draws are assigned to workers round-robin (total batch b0 across the
     fleet); the randomness lives in the oracle's own seed, so the same
-    oracle always produces the same v0.
+    oracle always produces the same v0.  The draws are added in draw order
+    into one buffer, which gives the bits of fixed_order_mean on their stack
+    in O(d) memory for any b0.  A one-coordinate problem keeps the stack:
+    numpy sums a single column pairwise, not row by row.
     """
     if b0 < 1:
         raise ConfigError(f"b0 must be >= 1, got {b0}")
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-    grads = [
-        grad(x0, SampleHandle(t=0, worker=j % n_workers, draw=j))
-        for j in range(b0)
-    ]
-    return fixed_order_mean(grads)
+    draws = (grad(x0, SampleHandle(t=0, worker=j % n_workers, draw=j)) for j in range(b0))
+    total = np.array(next(draws))
+    if total.size == 1:
+        return fixed_order_mean([total, *draws])
+    for g in draws:
+        total += g
+    return np.divide(total, b0, out=total)

@@ -22,36 +22,38 @@ The server broadcast is delivered identically to all workers, and every
 worker applies the same deterministic update, so a single stored copy of
 (x, v) stands in for the whole replicated fleet.
 
-The fleet's own state is held on a worker axis: the compensation state
-(e, delta_1, delta_2) is one CompensationState of (n, d) arrays, row i for
-worker i, and each step's estimates, messages and residuals are (n, d)
-arrays too.  A step runs one filter_update and one compensate for the
-whole fleet and reduces the aggregates straight from those arrays in
-worker-index order.  Each worker's minibatch is the one of handle
-(t, i, 0, seed), and storm and root_sgd evaluate both of their gradients
-on it.  run draws the minibatches of a block of steps for the whole fleet
-in one fleet_minibatches call and hands each step its (n, batch) rows.  A
-block holds at most SAMPLE_BLOCK indices (but at least one step), so its
-memory is bounded for any batch size, and it reproduces the per-handle
-draws bit for bit.  Gradients (one grad_at per worker and evaluation)
-and compression (one compress per row) stay per worker, so each row is
+Every node's filter state is one CompensationState of (n + 1, d) arrays:
+row i for worker i, row n for the server.  Each step's messages and
+residuals are (n + 1, d) arrays too, laid out the same way.  A step runs
+one filter_update over all n + 1 rows, one compensate over the worker rows
+and one shift_deltas, and reduces the aggregates straight from those
+arrays in worker-index order.  On single_round and single_worker nothing
+writes the server row's residuals, so they stay zero, and the filter keeps
+that row's e at +0.0 (its weights are finite and non-negative).  Each
+worker's minibatch is the one of handle (t, i, 0, seed), and storm and
+root_sgd evaluate both of their gradients on it.  run draws the
+minibatches of a block of steps for the whole fleet in one
+fleet_minibatches call and hands each step its (n, batch) rows.  A block
+holds at most SAMPLE_BLOCK indices (but at least one step), so its memory
+is bounded for any batch size, and it reproduces the per-handle draws bit
+for bit.  Gradients (one grad_at per worker and evaluation) and
+compression (one compress per row) stay per worker, so each row is
 computed by the same float operations a lone worker would perform.  Row
-computations touch only that worker's state and keyed randomness, so
-their order cannot matter.
+computations touch only that worker's state and keyed randomness, so their
+order cannot matter.
 
 Buffer ownership.  A run allocates its per-step vectors once and a step
 overwrites them in place:
-    Runtime.messages    (n, d): the estimates, then the a_t weighting and
-                        compensate write the messages over them, and each
-                        row is compressed in place;
-    workers.delta_2     the residuals of step t-2 are dead once the filter
+    Runtime.messages    (n + 1, d): rows 0..n-1 hold the estimates, then
+                        the a_t weighting and compensate write the
+                        messages over them, and each row is compressed in
+                        place; row n holds the worker average, which the
+                        server compensates and compresses in place into
+                        the broadcast;
+    fleet.delta_2       the residuals of step t-2 are dead once the filter
                         has read them, so step t's residuals go there and
                         shift_deltas makes them delta_1;
-    Runtime.broadcast   (d,): the worker average, compensated and then
-                        compressed in place by the server;
-    server.delta_2      the server's residual, as for the workers;
-    e                   filter_update alternates it between two buffers
-                        that each state owns (see compensation).
+    fleet.e             filter_update writes the new e over the old one.
 Nothing a caller keeps points into these buffers: the StepResult arrays
 (x_next, v, a_bar, e_bar, delta_bar), the estimator's v and x_prev, the
 trace's x0 and v0 and the history rows (copies) are all new arrays, so no
@@ -111,6 +113,10 @@ TOPOLOGIES = ("double_compression", "single_round", "single_worker")
 DIVERGENCE_NORM = 1e12
 # Most minibatch indices drawn per fleet_minibatches call (at least one step).
 SAMPLE_BLOCK = 2**16
+# The per-step metric columns _Recorder preallocates, in RunTrace's order.
+METRIC_COLUMNS = (
+    "loss", "grad_norm_sq", "v_norm", "worker_delta_norm", "server_delta_norm", "delta_bar_norm",
+)
 
 
 @dataclass(frozen=True)
@@ -221,44 +227,42 @@ class StepResult:
 class Runtime:
     """Per-run context shared by every step.
 
-    The fields never change during a run; the contents of the two buffers
-    are overwritten by every step (see the module docstring).
+    The fields never change during a run; the contents of messages are
+    overwritten by every step (see the module docstring).
     """
 
     config: RunConfig
     problem: object
     worker_spec: CompressorSpec
     server_spec: CompressorSpec
-    messages: np.ndarray   # (n, d): estimates, then messages
-    broadcast: np.ndarray  # (d,): the worker average, then the broadcast
+    messages: np.ndarray  # (n + 1, d): worker estimates then messages; row n the broadcast
 
 
 def run_step(
     t: int,
     x_t: np.ndarray,
     estimator: Estimator,
-    workers: CompensationState,
-    server: CompensationState,
+    fleet: CompensationState,
     runtime: Runtime,
     batches: np.ndarray,
 ) -> StepResult:
     """Execute step t >= 1; returns the new iterate and step-level aggregates.
 
-    workers holds the fleet's filter state as (n, d) arrays, row i for
-    worker i; server holds the server's as (d,) vectors.  Row i of batches
-    holds worker i's minibatch indices for this step.
+    fleet holds every node's filter state as (n + 1, d) arrays, row i for
+    worker i and row n for the server.  Row i of batches holds worker i's
+    minibatch indices for this step.
     """
     config = runtime.config
     schedule, scheme = config.schedule, config.scheme
-    n = len(runtime.messages)
+    n = len(runtime.messages) - 1
     alphas = (schedule.at(t), schedule.at(t - 1), schedule.at(t - 2))
     a_t = alphas[0]
     weighted = transmits_weighted_increment(scheme.kind)
 
-    e_workers = filter_update(workers, scheme.beta, *alphas, scheme.kind)
+    e = filter_update(fleet, scheme.beta, *alphas, scheme.kind)
     # The residual buffer of step t-2 is dead once the filter has read it.
-    residuals = workers.delta_2
-    messages = runtime.messages
+    residuals = fleet.delta_2
+    messages = runtime.messages[:n]
     if runtime.problem.n_samples == 0:
         # No data, so every worker's estimate is the same computation.
         messages[:] = estimator.eval_a(x_t, batches[0], a_t, runtime.problem.grad_at)
@@ -268,39 +272,30 @@ def run_step(
     a_bar = fixed_order_mean(messages) if config.record_history else None
     if weighted:
         np.multiply(messages, a_t, out=messages)
-    compensate(messages, e_workers, out=messages)
+    compensate(messages, e[:n], out=messages)
     for i in range(n):
         row = messages[i]
         compress(row, runtime.worker_spec, step=t, node_id=i, out=(row, residuals[i]))
-    shift_deltas(workers, residuals)
-    broadcast = fixed_order_mean(messages, out=runtime.broadcast)
-
+    broadcast = fixed_order_mean(messages, out=runtime.messages[n])
     if config.topology == "double_compression":
-        e_srv = filter_update(server, scheme.beta, *alphas, scheme.kind)
-        compensate(broadcast, e_srv, out=broadcast)
-        compress(
-            broadcast, runtime.server_spec, step=t, node_id=n,
-            out=(broadcast, server.delta_2),
-        )
-        shift_deltas(server, server.delta_2)
-    else:
-        # single_round broadcasts the average uncompressed; single_worker has
-        # nobody to broadcast to.  Either way the server never filters or
-        # compresses, so its e and residual stay zero.
-        e_srv = server.e
-    server_delta = server.delta_1
+        compensate(broadcast, e[n], out=broadcast)
+        compress(broadcast, runtime.server_spec, step=t, node_id=n, out=(broadcast, residuals[n]))
+    # single_round broadcasts the average uncompressed; single_worker has
+    # nobody to broadcast to.  Either way the server row stays zero.
+    shift_deltas(fleet, residuals)
+    server_delta = residuals[n]
 
     estimator.advance(x_t)
     v_t = estimator.update_v(broadcast, a_t, weighted=weighted)
     x_next = config.gamma * v_t
     np.subtract(x_t, x_next, out=x_next)
 
-    worker_delta_mean = fixed_order_mean(residuals)
+    worker_delta_mean = fixed_order_mean(residuals[:n])
     worker_delta_norm = float(np.linalg.norm(worker_delta_mean))
     e_bar = None
     if config.record_history:
-        e_bar = fixed_order_mean(e_workers)
-        e_bar += e_srv
+        e_bar = fixed_order_mean(e[:n])
+        e_bar += e[n]
     return StepResult(
         x_next=x_next,
         v=v_t,
@@ -321,7 +316,8 @@ def wire_bits(runtime: Runtime) -> tuple[int, int]:
     raw average (single_round) or nothing (single_worker).
     """
     topology = runtime.config.topology
-    n, dim = runtime.messages.shape
+    rows, dim = runtime.messages.shape
+    n = rows - 1
     raw = dim * FLOAT_BITS
     up = n * message_bits(runtime.worker_spec, dim)
     if topology == "single_worker":
@@ -340,8 +336,7 @@ class _Recorder:
         self.v0 = v0
         self.rows = 0
         t_max = runtime.config.steps
-        names = "loss grad_norm_sq v_norm worker_delta_norm server_delta_norm delta_bar_norm"
-        self.columns = {name: np.empty(t_max) for name in names.split()}
+        self.columns = {name: np.empty(t_max) for name in METRIC_COLUMNS}
         self.hist = None
         if runtime.config.record_history:
             shape = (t_max, x0.size)
@@ -400,23 +395,34 @@ class _Recorder:
         )
 
 
-def _check_history_fits(config: RunConfig) -> None:
-    """Reject a recorded run whose history would not fit in physical memory.
+def _check_trace_fits(config: RunConfig) -> None:
+    """Reject a run whose trace arrays would not fit in physical memory.
 
-    RunHistory preallocates five (steps, d) float64 arrays, so a long wide
-    run would otherwise fail (or swap) only after its problem was built.
+    _Recorder preallocates len(METRIC_COLUMNS) float64 columns of `steps`
+    rows, and five (steps, d) history arrays when the run records them, so
+    a long or wide run would otherwise fail (or swap) only after its
+    problem was built.  The error names steps when the columns alone are
+    too large, and record_ghost when the history is what does not fit.
     """
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    itemsize = np.dtype(np.float64).itemsize
+    columns = len(METRIC_COLUMNS) * config.steps * itemsize
+    if columns > physical:
+        raise ConfigError(
+            f"steps: the metric columns of {config.steps} steps need "
+            f"{columns / 2**30:.1f} GiB, more than the {physical / 2**30:.1f} GiB "
+            "of physical memory"
+        )
     if not config.record_history:
         return
     spec = config.problem
     dim = len(spec.spectrum) if spec.kind == "quadratic" else spec.dim
-    needed = 5 * config.steps * dim * np.dtype(np.float64).itemsize
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    needed = columns + 5 * config.steps * dim * itemsize
     if needed > physical:
         raise ConfigError(
             f"record_ghost: the history of {config.steps} steps at d={dim} needs "
-            f"{needed / 2**30:.1f} GiB, more than the {physical / 2**30:.1f} GiB "
-            "of physical memory"
+            f"{needed / 2**30:.1f} GiB with the metric columns, more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory"
         )
 
 
@@ -447,7 +453,7 @@ def run(config: RunConfig) -> RunTrace:
     escapes; a run with scheme "none" under aggressive compression is
     expected to do so.
     """
-    _check_history_fits(config)
+    _check_trace_fits(config)
     problem, shards, grad = build_context(config)
     dim = problem.dim
     n = config.n_workers
@@ -458,8 +464,7 @@ def run(config: RunConfig) -> RunTrace:
         problem=problem,
         worker_spec=worker_spec,
         server_spec=server_spec,
-        messages=np.empty((n, dim)),
-        broadcast=np.empty(dim),
+        messages=np.empty((n + 1, dim)),
     )
 
     x0 = config.x0_scale * np.ones(dim)
@@ -467,8 +472,7 @@ def run(config: RunConfig) -> RunTrace:
     v0 = init_v0(x0, config.b0, grad, n)
     estimator.v = v0
 
-    workers = CompensationState.zeros((n, dim))
-    server = CompensationState.zeros(dim)
+    fleet = CompensationState.zeros((n + 1, dim))
 
     recorder = _Recorder(runtime, x0, v0)
     # Step 0: v0 travelled uncompressed and x_1 = x0 - gamma * v0.  Its zero
@@ -485,7 +489,7 @@ def run(config: RunConfig) -> RunTrace:
             t_end = min(t + block_steps, config.steps)
             block = fleet_minibatches(problem, shards, t, t_end, config.seed)
         x = step.x_next
-        step = run_step(t, x, estimator, workers, server, runtime, block[offset])
+        step = run_step(t, x, estimator, fleet, runtime, block[offset])
         recorder.record(t, x, step)
 
     return recorder.build(step.x_next)

@@ -85,7 +85,7 @@ def test_two_step_scheme_weights_two_residuals():
     e0 = np.array([1.0, -1.0])
     d1 = np.array([2.0, 0.5])
     d2 = np.array([-1.0, 3.0])
-    state = state_with(e0, d1, d2)
+    state = state_with(e0.copy(), d1, d2)
     a_t, a_t1, a_t2 = 0.25, 0.5, 1.0
     e = filter_update(state, beta=0.4, alpha_t=a_t, alpha_t1=a_t1, alpha_t2=a_t2, kind="two_step")
     w1 = (a_t1 / a_t) * (2.0 - a_t)
@@ -161,18 +161,35 @@ def test_filter_update_matches_the_allocating_formula_bit_for_bit(n, d, kind, se
         assert e.tobytes() == expected.tobytes(), (kind, step)
 
 
-def test_consecutive_filter_results_do_not_alias():
-    e0 = np.array([[1.0, -2.0], [0.5, 4.0]])
-    state = state_with(e0, [[1.0, 1.0], [2.0, 2.0]], [[3.0, 3.0], [4.0, 4.0]])
-    first = filter_update(state, 0.5, 0.5, 0.5, 0.5, "two_step")
-    kept = first.copy()
-    second = filter_update(state, 0.5, 0.5, 0.5, 0.5, "two_step")
-    assert not np.shares_memory(first, second)
-    assert np.array_equal(first, kept)
-    third = filter_update(state, 0.5, 0.5, 0.5, 0.5, "single")
-    assert not np.shares_memory(second, third)
-    # the e the caller put on the state is never written to
-    assert np.array_equal(e0, [[1.0, -2.0], [0.5, 4.0]])
+@pytest.mark.parametrize("kind", ["none", "single", "two_step"])
+def test_filter_update_writes_e_in_place(kind):
+    e = np.array([[1.0, -2.0], [0.5, 4.0]])
+    d1 = np.array([[1.0, 1.0], [2.0, 2.0]])
+    d2 = np.array([[3.0, 3.0], [4.0, 4.0]])
+    state = state_with(e, d1.copy(), d2.copy())
+    expected = allocating_filter(e.copy(), d1, d2, 0.5, 0.5, 0.5, 0.5, kind)
+    result = filter_update(state, 0.5, 0.5, 0.5, 0.5, kind)
+    assert result is state.e
+    assert state.e is e
+    assert e.tobytes() == expected.tobytes()
+    assert np.array_equal(state.delta_1, d1)
+    assert np.array_equal(state.delta_2, d2)
+
+
+def test_filter_update_rejects_an_e_it_cannot_write_in_place():
+    state = CompensationState.zeros((3, 4))
+    state.e = np.zeros((4, 3)).T
+    with pytest.raises(ConfigError, match="C-contiguous"):
+        filter_update(state, 0.5, 0.5, 0.5, 0.5, "single")
+    state = CompensationState.zeros((3, 4))
+    state.e = np.zeros((3, 8))[:, ::2]
+    with pytest.raises(ConfigError, match="C-contiguous"):
+        filter_update(state, 0.5, 0.5, 0.5, 0.5, "none")
+    for field in ("e", "delta_1", "delta_2"):
+        state = CompensationState.zeros((3, 4))
+        setattr(state, field, np.zeros((4, 3)))
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            filter_update(state, 0.5, 0.5, 0.5, 0.5, "two_step")
 
 
 def test_compensate_writes_into_out():

@@ -5,6 +5,8 @@ so each estimator's evaluation point and blend arithmetic can be checked
 against hand-written expressions without any problem machinery.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,43 @@ def test_init_v0_averages_round_robin_draws():
     assert [h.draw for h in calls] == [0, 1, 2, 3, 4]
     assert all(h.t == 0 for h in calls)
     assert np.array_equal(v0, np.full(2, 2.0))
+
+
+def keyed_oracle(dim):
+    """A gradient per handle, over magnitudes wide enough that order shows."""
+
+    def grad(x, handle):
+        rng = np.random.default_rng([handle.draw, handle.worker])
+        return rng.standard_normal(dim) * rng.choice([1e-8, 1.0, 1e8], dim)
+
+    return grad
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("b0", [1, 2, 7, 64])
+def test_init_v0_gives_the_bits_of_the_stacked_mean(b0, n_workers, dim):
+    grad = keyed_oracle(dim)
+    x0 = np.zeros(dim)
+    draws = [grad(x0, SampleHandle(t=0, worker=j % n_workers, draw=j)) for j in range(b0)]
+    assert init_v0(x0, b0, grad, n_workers).tobytes() == fixed_order_mean(draws).tobytes()
+
+
+def test_init_v0_memory_does_not_grow_with_b0():
+    dim, b0 = 1000, 4096
+
+    def grad(x, handle):
+        return np.full(dim, float(handle.draw))
+
+    tracemalloc.start()
+    try:
+        v0 = init_v0(np.zeros(dim), b0, grad, n_workers=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v0, np.full(dim, (b0 - 1) / 2))
+    # The stacked draws alone would take b0 * dim * 8 bytes = 32 MiB.
+    assert peak < 8 * dim * 8
 
 
 def test_init_v0_validates_counts():

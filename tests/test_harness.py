@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradcomp
-from gradcomp import harness
+from gradcomp import harness, simulator
 from gradcomp import (
     AlphaSchedule,
     CompressorSpec,
@@ -462,6 +462,19 @@ def test_module_entry_point_runs_a_config(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_cli_rejects_a_run_whose_metric_columns_exceed_memory(tmp_path, monkeypatch, capsys):
+    def no_problem(spec):
+        raise AssertionError("make_problem ran before the trace check")
+
+    monkeypatch.setattr(simulator, "make_problem", no_problem)
+    text = "run: {steps: 1000000000000, problem: {kind: quadratic, spectrum: [1.0, 2.0]}}\n"
+    config = write_config(tmp_path, text, name="long.yaml")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "long")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: steps:")
+    assert "Traceback" not in err
 
 
 def test_cli_divergence_exit_codes(tmp_path):

@@ -2,10 +2,12 @@
 
 Every run of a fixed quadratic grid is hashed (final_x and every history
 array) and compared with the digests the simulator produced before its
-steps were made to write into run-owned buffers.  A diagonal quadratic
-with decimal-literal eigenvalues keeps BLAS, LAPACK and libm out of these
-arrays: they come from elementwise IEEE arithmetic, numpy's fixed
-summation orders and numpy's Philox streams alone.
+steps were made to write into run-owned buffers (double_compression), or
+before the server's filter state became a row of the fleet's (single_round
+and single_worker).  A diagonal quadratic with decimal-literal eigenvalues
+keeps BLAS, LAPACK and libm out of these arrays: they come from elementwise
+IEEE arithmetic, numpy's fixed summation orders and numpy's Philox streams
+alone.
 """
 
 import hashlib
@@ -29,6 +31,14 @@ SCHEDULES = {
     "igt": AlphaSchedule("constant", alpha=0.2),
 }
 GRID = list(itertools.product(COMPRESSORS, ("none", "single", "two_step"), SCHEDULES, (1, 3)))
+# The same grid on the topologies whose server never compresses, so its row
+# of the fleet's filter state must stay zero (single_worker has one worker).
+TOPOLOGY_GRID = [
+    (topology, *cell)
+    for topology in ("single_round", "single_worker")
+    for cell in GRID
+    if topology == "single_round" or cell[3] == 1
+]
 
 # name -> sha256 of final_x and the five history arrays, first 16 hex digits.
 PINNED = {
@@ -124,8 +134,148 @@ PINNED = {
     "identity/two_step/igt/n3": "f4c2883fc05ea994",
 }
 
+# The same for TOPOLOGY_GRID, keyed "<topology>/<name>", recorded before the
+# server's filter state became a row of the fleet's.
+PINNED_TOPOLOGIES = {
+    "single_round/one_bit/none/momentum/n1": "3124ea097f56c3ae",
+    "single_round/one_bit/none/momentum/n3": "643dc6daf8e39870",
+    "single_round/one_bit/none/storm/n1": "0ce701d0aa9d46d7",
+    "single_round/one_bit/none/storm/n3": "83faeb4b7274009a",
+    "single_round/one_bit/none/igt/n1": "4fa0be4c97014135",
+    "single_round/one_bit/none/igt/n3": "a3c19893d55c0c78",
+    "single_round/one_bit/single/momentum/n1": "d5dd28d45c9cb46b",
+    "single_round/one_bit/single/momentum/n3": "750f4e967d3b7eb0",
+    "single_round/one_bit/single/storm/n1": "40ad0fc8bd3fc68b",
+    "single_round/one_bit/single/storm/n3": "7faee05b03842629",
+    "single_round/one_bit/single/igt/n1": "8228e123f9bc5a25",
+    "single_round/one_bit/single/igt/n3": "fe1fde8560990fa7",
+    "single_round/one_bit/two_step/momentum/n1": "a4032971294b5231",
+    "single_round/one_bit/two_step/momentum/n3": "5ffc893e359034d9",
+    "single_round/one_bit/two_step/storm/n1": "67c7e303e1ef4692",
+    "single_round/one_bit/two_step/storm/n3": "3e68e2ba673370d3",
+    "single_round/one_bit/two_step/igt/n1": "968caf3472178ea5",
+    "single_round/one_bit/two_step/igt/n3": "1c06c6ca37d1c91a",
+    "single_round/top_k/none/momentum/n1": "0ee8c92f7ac4f2d3",
+    "single_round/top_k/none/momentum/n3": "bb1e7f81216eb24c",
+    "single_round/top_k/none/storm/n1": "ea6b83fc00cd61bf",
+    "single_round/top_k/none/storm/n3": "d511476b3d550f5b",
+    "single_round/top_k/none/igt/n1": "fb7ec26274ed1370",
+    "single_round/top_k/none/igt/n3": "88793ef90fcb7641",
+    "single_round/top_k/single/momentum/n1": "3cd5aaeda735f5db",
+    "single_round/top_k/single/momentum/n3": "7bad7d70e9590730",
+    "single_round/top_k/single/storm/n1": "525cdc2405b2d75a",
+    "single_round/top_k/single/storm/n3": "7f4e53b75c2a4595",
+    "single_round/top_k/single/igt/n1": "3ddf2a1c6662d7f8",
+    "single_round/top_k/single/igt/n3": "cfa3a16c2a834146",
+    "single_round/top_k/two_step/momentum/n1": "e09126b4c87c22e8",
+    "single_round/top_k/two_step/momentum/n3": "57d984d4e44ee559",
+    "single_round/top_k/two_step/storm/n1": "68c3c83adcaf5844",
+    "single_round/top_k/two_step/storm/n3": "3c01a6183df8ab69",
+    "single_round/top_k/two_step/igt/n1": "9388d541577a86a2",
+    "single_round/top_k/two_step/igt/n3": "5d2923a7ef247e71",
+    "single_round/rand_k/none/momentum/n1": "4ca246e190e43a08",
+    "single_round/rand_k/none/momentum/n3": "e6b9385e261b6f6f",
+    "single_round/rand_k/none/storm/n1": "8081644685bea108",
+    "single_round/rand_k/none/storm/n3": "5f9b5e25fec52ab2",
+    "single_round/rand_k/none/igt/n1": "1a8080569e1309a3",
+    "single_round/rand_k/none/igt/n3": "862a2f0bd80e7d2a",
+    "single_round/rand_k/single/momentum/n1": "a83d8f529e220e0c",
+    "single_round/rand_k/single/momentum/n3": "400deaa5f858bee7",
+    "single_round/rand_k/single/storm/n1": "094c0ab92aa229c2",
+    "single_round/rand_k/single/storm/n3": "9f380648c820a7ce",
+    "single_round/rand_k/single/igt/n1": "ebdf7c268f14d503",
+    "single_round/rand_k/single/igt/n3": "c0ceb98656ffc5dd",
+    "single_round/rand_k/two_step/momentum/n1": "e87abda3dc258fd3",
+    "single_round/rand_k/two_step/momentum/n3": "8396877eee0f1c83",
+    "single_round/rand_k/two_step/storm/n1": "b2f83b75a1dedb05",
+    "single_round/rand_k/two_step/storm/n3": "0a0e32cfdf6f597f",
+    "single_round/rand_k/two_step/igt/n1": "5be0d8ccb34e875e",
+    "single_round/rand_k/two_step/igt/n3": "f33c3aac740ffe98",
+    "single_round/stoch_quant/none/momentum/n1": "139406337d77570e",
+    "single_round/stoch_quant/none/momentum/n3": "7abbb53682e101ad",
+    "single_round/stoch_quant/none/storm/n1": "f2d2dd4436c63fa1",
+    "single_round/stoch_quant/none/storm/n3": "10da22c57da3529d",
+    "single_round/stoch_quant/none/igt/n1": "8793807639b46638",
+    "single_round/stoch_quant/none/igt/n3": "83ab93520e7582d7",
+    "single_round/stoch_quant/single/momentum/n1": "fdd9b50a2b6c4791",
+    "single_round/stoch_quant/single/momentum/n3": "f333d543f75b15bc",
+    "single_round/stoch_quant/single/storm/n1": "8a474a4102f1c8f1",
+    "single_round/stoch_quant/single/storm/n3": "bf749dbfd25ee836",
+    "single_round/stoch_quant/single/igt/n1": "4b90b9016d1a8873",
+    "single_round/stoch_quant/single/igt/n3": "1af2b686ccead70e",
+    "single_round/stoch_quant/two_step/momentum/n1": "bf3c319bd5c950ad",
+    "single_round/stoch_quant/two_step/momentum/n3": "ee047872cf2629d3",
+    "single_round/stoch_quant/two_step/storm/n1": "7b6960f375b2674f",
+    "single_round/stoch_quant/two_step/storm/n3": "9708b113086a71a4",
+    "single_round/stoch_quant/two_step/igt/n1": "d4a5c960a7be42a3",
+    "single_round/stoch_quant/two_step/igt/n3": "9af72a81ce17e9cd",
+    "single_round/identity/none/momentum/n1": "d02e33f389b77d39",
+    "single_round/identity/none/momentum/n3": "b3069deecfa9e7c6",
+    "single_round/identity/none/storm/n1": "13dd5260cfb3f1d6",
+    "single_round/identity/none/storm/n3": "2ee847f31b52ff0d",
+    "single_round/identity/none/igt/n1": "1646250c79fcb0b4",
+    "single_round/identity/none/igt/n3": "c426be4b7f848cb1",
+    "single_round/identity/single/momentum/n1": "d02e33f389b77d39",
+    "single_round/identity/single/momentum/n3": "b3069deecfa9e7c6",
+    "single_round/identity/single/storm/n1": "13dd5260cfb3f1d6",
+    "single_round/identity/single/storm/n3": "2ee847f31b52ff0d",
+    "single_round/identity/single/igt/n1": "1646250c79fcb0b4",
+    "single_round/identity/single/igt/n3": "c426be4b7f848cb1",
+    "single_round/identity/two_step/momentum/n1": "d02e33f389b77d39",
+    "single_round/identity/two_step/momentum/n3": "9ba8c42130f5462f",
+    "single_round/identity/two_step/storm/n1": "13dd5260cfb3f1d6",
+    "single_round/identity/two_step/storm/n3": "b024bf843a544700",
+    "single_round/identity/two_step/igt/n1": "1646250c79fcb0b4",
+    "single_round/identity/two_step/igt/n3": "f4c2883fc05ea994",
+    "single_worker/one_bit/none/momentum/n1": "3124ea097f56c3ae",
+    "single_worker/one_bit/none/storm/n1": "0ce701d0aa9d46d7",
+    "single_worker/one_bit/none/igt/n1": "4fa0be4c97014135",
+    "single_worker/one_bit/single/momentum/n1": "d5dd28d45c9cb46b",
+    "single_worker/one_bit/single/storm/n1": "40ad0fc8bd3fc68b",
+    "single_worker/one_bit/single/igt/n1": "8228e123f9bc5a25",
+    "single_worker/one_bit/two_step/momentum/n1": "a4032971294b5231",
+    "single_worker/one_bit/two_step/storm/n1": "67c7e303e1ef4692",
+    "single_worker/one_bit/two_step/igt/n1": "968caf3472178ea5",
+    "single_worker/top_k/none/momentum/n1": "0ee8c92f7ac4f2d3",
+    "single_worker/top_k/none/storm/n1": "ea6b83fc00cd61bf",
+    "single_worker/top_k/none/igt/n1": "fb7ec26274ed1370",
+    "single_worker/top_k/single/momentum/n1": "3cd5aaeda735f5db",
+    "single_worker/top_k/single/storm/n1": "525cdc2405b2d75a",
+    "single_worker/top_k/single/igt/n1": "3ddf2a1c6662d7f8",
+    "single_worker/top_k/two_step/momentum/n1": "e09126b4c87c22e8",
+    "single_worker/top_k/two_step/storm/n1": "68c3c83adcaf5844",
+    "single_worker/top_k/two_step/igt/n1": "9388d541577a86a2",
+    "single_worker/rand_k/none/momentum/n1": "4ca246e190e43a08",
+    "single_worker/rand_k/none/storm/n1": "8081644685bea108",
+    "single_worker/rand_k/none/igt/n1": "1a8080569e1309a3",
+    "single_worker/rand_k/single/momentum/n1": "a83d8f529e220e0c",
+    "single_worker/rand_k/single/storm/n1": "094c0ab92aa229c2",
+    "single_worker/rand_k/single/igt/n1": "ebdf7c268f14d503",
+    "single_worker/rand_k/two_step/momentum/n1": "e87abda3dc258fd3",
+    "single_worker/rand_k/two_step/storm/n1": "b2f83b75a1dedb05",
+    "single_worker/rand_k/two_step/igt/n1": "5be0d8ccb34e875e",
+    "single_worker/stoch_quant/none/momentum/n1": "139406337d77570e",
+    "single_worker/stoch_quant/none/storm/n1": "f2d2dd4436c63fa1",
+    "single_worker/stoch_quant/none/igt/n1": "8793807639b46638",
+    "single_worker/stoch_quant/single/momentum/n1": "fdd9b50a2b6c4791",
+    "single_worker/stoch_quant/single/storm/n1": "8a474a4102f1c8f1",
+    "single_worker/stoch_quant/single/igt/n1": "4b90b9016d1a8873",
+    "single_worker/stoch_quant/two_step/momentum/n1": "bf3c319bd5c950ad",
+    "single_worker/stoch_quant/two_step/storm/n1": "7b6960f375b2674f",
+    "single_worker/stoch_quant/two_step/igt/n1": "d4a5c960a7be42a3",
+    "single_worker/identity/none/momentum/n1": "d02e33f389b77d39",
+    "single_worker/identity/none/storm/n1": "13dd5260cfb3f1d6",
+    "single_worker/identity/none/igt/n1": "1646250c79fcb0b4",
+    "single_worker/identity/single/momentum/n1": "d02e33f389b77d39",
+    "single_worker/identity/single/storm/n1": "13dd5260cfb3f1d6",
+    "single_worker/identity/single/igt/n1": "1646250c79fcb0b4",
+    "single_worker/identity/two_step/momentum/n1": "d02e33f389b77d39",
+    "single_worker/identity/two_step/storm/n1": "13dd5260cfb3f1d6",
+    "single_worker/identity/two_step/igt/n1": "1646250c79fcb0b4",
+}
 
-def digest(compressor: str, scheme: str, estimator: str, n: int) -> str:
+
+def digest(compressor: str, scheme: str, estimator: str, n: int, topology: str = "double_compression") -> str:
     trace = run(
         RunConfig(
             problem=PROBLEM,
@@ -133,6 +283,7 @@ def digest(compressor: str, scheme: str, estimator: str, n: int) -> str:
             schedule=SCHEDULES[estimator],
             scheme=SchemeSpec(scheme, beta=0.4),
             compressor=COMPRESSORS[compressor],
+            topology=topology,
             n_workers=n,
             steps=30,
             gamma=0.3,
@@ -154,3 +305,13 @@ def name(compressor, scheme, estimator, n) -> str:
 @pytest.mark.parametrize("compressor, scheme, estimator, n", GRID, ids=[name(*cell) for cell in GRID])
 def test_trajectory_digest_is_pinned(compressor, scheme, estimator, n):
     assert digest(compressor, scheme, estimator, n) == PINNED[name(compressor, scheme, estimator, n)]
+
+
+@pytest.mark.parametrize(
+    "topology, compressor, scheme, estimator, n",
+    TOPOLOGY_GRID,
+    ids=[f"{topology}/{name(*cell)}" for topology, *cell in TOPOLOGY_GRID],
+)
+def test_other_topology_digest_is_pinned(topology, compressor, scheme, estimator, n):
+    key = f"{topology}/{name(compressor, scheme, estimator, n)}"
+    assert digest(compressor, scheme, estimator, n, topology) == PINNED_TOPOLOGIES[key]
