@@ -23,6 +23,7 @@ a problem's own grad_at.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -146,24 +147,50 @@ class Estimator:
         self.x_prev = x_t
 
 
+def _pairwise_sum(draws, n: int):
+    """Sum of the next n draws in numpy's pairwise order for a contiguous
+    run of n floats: a plain loop below 8, eight interleaved accumulators up
+    to 128, and above that the two halves split at a multiple of 8.  Draws
+    are taken in order, depth first, so at most O(log n) partial sums live."""
+    if n < 8:
+        total = 0.0
+        for _ in range(n):
+            total = total + next(draws)
+        return total
+    if n <= 128:
+        acc = [next(draws) for _ in range(8)]
+        for _ in range(n // 8 - 1):
+            acc = [a + next(draws) for a in acc]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for _ in range(n % 8):
+            total = total + next(draws)
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(draws, half) + _pairwise_sum(draws, n - half)
+
+
 def init_v0(x0: np.ndarray, b0: int, grad, n_workers: int = 1) -> np.ndarray:
     """Warm-start estimate: mean of b0 stochastic gradients at x0.
 
     Draws are assigned to workers round-robin (total batch b0 across the
     fleet); the randomness lives in the oracle's own seed, so the same
-    oracle always produces the same v0.  The draws are added in draw order
-    into one buffer, which gives the bits of fixed_order_mean on their stack
-    in O(d) memory for any b0.  A one-coordinate problem keeps the stack:
-    numpy sums a single column pairwise, not row by row.
+    oracle always produces the same v0.  The result has the bits of
+    fixed_order_mean on the draws' stack in O(d) memory for any b0: the
+    draws are added in draw order into one buffer, which is how numpy
+    reduces the rows of a (b0, d) stack.  A one-coordinate stack is one
+    contiguous column, which numpy sums pairwise from 0.0, so for d = 1 the
+    draws are streamed through that pairwise order instead.
     """
     if b0 < 1:
         raise ConfigError(f"b0 must be >= 1, got {b0}")
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
     draws = (grad(x0, SampleHandle(t=0, worker=j % n_workers, draw=j)) for j in range(b0))
-    total = np.array(next(draws))
-    if total.size == 1:
-        return fixed_order_mean([total, *draws])
-    for g in draws:
-        total += g
+    first = next(draws)
+    if first.size == 1:
+        total = 0.0 + _pairwise_sum(itertools.chain([first], draws), b0)
+    else:
+        total = np.array(first)
+        for g in draws:
+            total += g
     return np.divide(total, b0, out=total)

@@ -628,8 +628,9 @@ def figure1_experiment(
     With gamma=None the step size is grid searched per estimator: the
     uncompressed control runs once per GAMMA_GRID value and the best final
     squared gradient norm wins, after which every variant reuses that step
-    size.  Gaps are log10 ratios of the final squared gradient norm against
-    the uncompressed control (the metric the CSV records).  The
+    size; the winning control run is the uncompressed variant.  Gaps are
+    log10 ratios of the final squared gradient norm against the
+    uncompressed control (the metric the CSV records).  The
     identity_control variant differs from the control only in going through
     the full message plumbing with the identity compressor, so its gap must
     sit at zero.
@@ -660,22 +661,26 @@ def figure1_experiment(
 
     summary: dict = {}
     for estimator in estimators:
+        control = None
         if gamma is None:
             candidates = []
             for grid_gamma in GAMMA_GRID:
                 trace, diverged_at = one_run(estimator, variants["uncompressed"], grid_gamma)
                 if diverged_at is None:
-                    candidates.append((trace.final_grad_norm_sq, grid_gamma))
+                    candidates.append((trace.final_grad_norm_sq, grid_gamma, trace))
             if not candidates:
                 raise DivergenceError(
                     0, message=f"{estimator}: uncompressed control diverged at every grid step size"
                 )
-            _, tuned_gamma = min(candidates)
+            _, tuned_gamma, control = min(candidates, key=lambda c: c[:2])
         else:
             tuned_gamma = gamma
         block: dict = {"tuned_gamma": tuned_gamma}
         for label, parts in variants.items():
-            trace, diverged_at = one_run(estimator, parts, tuned_gamma)
+            if label == "uncompressed" and control is not None:
+                trace, diverged_at = control, None
+            else:
+                trace, diverged_at = one_run(estimator, parts, tuned_gamma)
             block[label] = {
                 "final_grad_norm_sq": trace.final_grad_norm_sq,
                 "diverged": diverged_at is not None,

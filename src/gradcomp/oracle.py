@@ -17,10 +17,18 @@ aggregated residuals delta_bar_s: unrolling the difference recursion
 and summing gives, with the filter ebar_s = c1 delta_bar_{s-1} -
 c2 delta_bar_{s-2},
 
-    x_t - xhat_t = (gamma/a) * [
-        eta1 * sum_{s<=t-1} (1 - (1-a)^(t-s))   delta_bar_s
-      - eta2*c1 * sum_{s<=t-2} (1 - (1-a)^(t-s-1)) delta_bar_s
-      + sign * eta2*c2 * sum_{s<=t-3} (1 - (1-a)^(t-s-2)) delta_bar_s ].
+    x_t - xhat_t = (gamma/a) * sum_{s<=t-1} (1 - (1-a)^(t-s)) D_s,
+    D_s = eta1 delta_bar_s - eta2*c1 delta_bar_{s-1} + sign * eta2*c2 delta_bar_{s-2},
+
+with delta_bar at a negative index taken as 0.  The weights split the sum
+into a plain and a decayed running sum of the combined D,
+
+    Q_t = Q_{t-1} + D_{t-1},    H_t = (1-a) (H_{t-1} + D_{t-1}),    Q_0 = H_0 = 0,
+    x_t - xhat_t = (gamma/a) * (Q_t - H_t),
+
+so the predictions for t = 0, 1, ..., T come out of one forward pass with
+O(d) state.  Summing D rather than its three terms keeps Q bounded when the
+terms nearly cancel, as they do under the two-step filter.
 
 The sign on the c2 term is not taken on faith: verify_residual_identity
 evaluates both choices against the brute-force ghost difference and reports
@@ -73,22 +81,39 @@ def _require_history(trace: RunTrace) -> None:
         raise ConfigError("this analysis needs a run recorded with record_history=True")
 
 
+def _ghost_steps(trace: RunTrace):
+    """The ghost recursion with O(d) state: yields (u_t, x_hat_t) for every
+    history row t, then the final x_hat."""
+    hist = trace.history
+    schedule = trace.config.schedule
+    gamma = trace.config.gamma
+    u, x_hat = trace.v0, trace.x0
+    yield u, x_hat
+    for t in range(1, hist.x.shape[0]):
+        a_t = schedule.at(t)
+        x_hat = x_hat - gamma * u
+        u = (1.0 - a_t) * u + a_t * hist.a_bar[t]
+        yield u, x_hat
+    yield x_hat - gamma * u
+
+
+def _ghost_gaps(trace: RunTrace):
+    """Yields x_t - xhat_t for every history row, then final_x - final_x_hat."""
+    walk = _ghost_steps(trace)
+    for x_t, (_, x_hat) in zip(trace.history.x, walk):
+        yield x_t - x_hat
+    yield trace.final_x - next(walk)
+
+
 def ghost_run(trace: RunTrace) -> GhostTrace:
     """Replay the estimator recursion on recorded estimates, uncompressed."""
     _require_history(trace)
-    hist = trace.history
-    schedule = trace.config.schedule
-    steps = hist.x.shape[0]
-    u = np.zeros_like(hist.x)
-    x_hat = np.zeros_like(hist.x)
-    u[0] = trace.v0
-    x_hat[0] = trace.x0
-    for t in range(1, steps):
-        a_t = schedule.at(t)
-        u[t] = (1.0 - a_t) * u[t - 1] + a_t * hist.a_bar[t]
-        x_hat[t] = x_hat[t - 1] - trace.config.gamma * u[t - 1]
-    final = x_hat[steps - 1] - trace.config.gamma * u[steps - 1]
-    return GhostTrace(u=u, x_hat=x_hat, final_x_hat=final, source=trace)
+    u = np.zeros_like(trace.history.x)
+    x_hat = np.zeros_like(trace.history.x)
+    walk = _ghost_steps(trace)
+    for t in range(u.shape[0]):
+        u[t], x_hat[t] = next(walk)
+    return GhostTrace(u=u, x_hat=x_hat, final_x_hat=next(walk), source=trace)
 
 
 def residual_closed_form(
@@ -99,35 +124,35 @@ def residual_closed_form(
     c2: float,
     alpha: float,
     gamma: float,
-    t: int,
     c2_sign: int = 1,
-) -> np.ndarray:
-    """Predicted gap x_t - xhat_t from the aggregated residual history alone.
+):
+    """Predicted gaps x_t - xhat_t from the aggregated residual history alone.
 
-    delta_bar_hist rows are steps s = 0, 1, ...; row 0 is the (zero)
-    residual of the uncompressed warm-start step.  Valid for beta = 1 and a
-    constant schedule; c2_sign selects the sign of the c2 term.
+    delta_bar_hist rows are steps s = 0, 1, ..., T - 1; row 0 is the (zero)
+    residual of the uncompressed warm-start step.  Returns an iterator over
+    the predictions for t = 0, 1, ..., T that keeps O(d) state: the running
+    sums Q and H of the module docstring.  Valid for beta = 1 and a constant
+    schedule; c2_sign selects the sign of the c2 term.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
     if c2_sign not in (1, -1):
         raise ConfigError(f"c2_sign must be +1 or -1, got {c2_sign}")
-    dim = delta_bar_hist.shape[1]
-    out = np.zeros(dim)
-    decay = 1.0 - alpha
+    return _running_sums(delta_bar_hist, eta1, eta2 * c1, c2_sign * eta2 * c2, alpha, gamma)
 
-    def weighted_sum(limit: int, exponent_offset: int) -> np.ndarray:
-        # sum_{s=0}^{limit} (1 - (1-a)^(t - s - exponent_offset)) delta_bar_s
-        if limit < 0:
-            return np.zeros(dim)
-        s = np.arange(limit + 1)
-        weights = 1.0 - decay ** (t - s - exponent_offset)
-        return weights @ delta_bar_hist[: limit + 1]
 
-    out += eta1 * weighted_sum(t - 1, 0)
-    out -= eta2 * c1 * weighted_sum(t - 2, 1)
-    out += c2_sign * eta2 * c2 * weighted_sum(t - 3, 2)
-    return (gamma / alpha) * out
+def _running_sums(delta_bar_hist, w0, w1, w2, alpha, gamma):
+    # D_s = w0 delta_bar_s - w1 delta_bar_{s-1} + w2 delta_bar_{s-2}
+    zero = np.zeros(delta_bar_hist.shape[1])
+    q, h = zero, zero
+    prev_1 = prev_2 = zero  # delta_bar_{s-1} and delta_bar_{s-2}
+    yield zero
+    for delta in delta_bar_hist:
+        d = w0 * delta - w1 * prev_1 + w2 * prev_2
+        q = q + d
+        h = (1.0 - alpha) * (h + d)
+        prev_1, prev_2 = delta, prev_1
+        yield (gamma / alpha) * (q - h)
 
 
 @dataclass
@@ -150,6 +175,13 @@ def verify_residual_identity(trace: RunTrace, tolerance: float = 1e-9) -> Identi
     Tries both signs of the c2 term and reports which one satisfies the
     identity; raises VerificationError if neither does.  Requires beta = 1
     and a constant schedule (the closed form assumes both).
+
+    One forward pass: the ghost recursion and, for each sign, the running
+    sums Q_t and H_t of the combined residual D_s advance in lockstep.  Only
+    the running maxima of ||x_t - xhat_t|| and of each sign's
+    ||(x_t - xhat_t) - predicted_t|| are kept, so the check holds O(d)
+    state whatever the horizon.  A sign's relative error is its largest gap
+    over the largest observed norm.
     """
     config = trace.config
     if config.scheme.beta != 1.0:
@@ -159,22 +191,19 @@ def verify_residual_identity(trace: RunTrace, tolerance: float = 1e-9) -> Identi
     _require_history(trace)
 
     alpha = config.schedule.at(1)
-    eta1, eta2, c1, c2 = scheme_coefficients(config.scheme.kind, alpha)
-    ghost = ghost_run(trace)
-    observed = ghost.residuals()
-    hist = trace.history.delta_bar
-    scale = max(float(np.linalg.norm(observed, axis=1).max()), _TINY)
-
-    errors = {}
-    for sign in (1, -1):
-        worst = 0.0
-        for t in range(observed.shape[0]):
-            predicted = residual_closed_form(
-                hist, eta1, eta2, c1, c2, alpha, config.gamma, t, c2_sign=sign
-            )
-            gap = float(np.linalg.norm(observed[t] - predicted))
-            worst = max(worst, gap / scale)
-        errors[sign] = worst
+    coefficients = (*scheme_coefficients(config.scheme.kind, alpha), alpha, config.gamma)
+    hist = trace.history
+    predictions = {
+        sign: residual_closed_form(hist.delta_bar, *coefficients, c2_sign=sign) for sign in (1, -1)
+    }
+    scale = 0.0
+    worst = dict.fromkeys(predictions, 0.0)
+    for observed in _ghost_gaps(trace):
+        scale = max(scale, float(np.linalg.norm(observed)))
+        for sign, rows in predictions.items():
+            worst[sign] = max(worst[sign], float(np.linalg.norm(observed - next(rows))))
+    scale = max(scale, _TINY)
+    errors = {sign: gap / scale for sign, gap in worst.items()}
 
     plus_ok = errors[1] <= tolerance
     minus_ok = errors[-1] <= tolerance

@@ -248,6 +248,49 @@ def test_init_v0_memory_does_not_grow_with_b0():
     assert peak < 8 * dim * 8
 
 
+def column_oracle(b0):
+    """One-coordinate draws over wide magnitudes, drawn up front."""
+    rng = np.random.default_rng(b0)
+    values = rng.standard_normal(b0) * rng.choice([1e-8, 1.0, 1e8], b0)
+
+    def grad(x, handle):
+        return values[handle.draw : handle.draw + 1].copy()
+
+    return grad
+
+
+def test_init_v0_on_one_coordinate_gives_the_bits_of_the_stacked_mean():
+    """Every b0 up to 299 covers each branch of the pairwise order and the
+    splits above 128; the larger ones nest several splits."""
+    x0 = np.zeros(1)
+    for b0 in (*range(1, 300), 1000, 4097, 5000, 100_000):
+        grad = column_oracle(b0)
+        draws = [grad(x0, SampleHandle(t=0, worker=j % 3, draw=j)) for j in range(b0)]
+        assert init_v0(x0, b0, grad, n_workers=3).tobytes() == fixed_order_mean(draws).tobytes(), b0
+
+
+@pytest.mark.parametrize("b0", [1, 7, 9, 200])
+def test_init_v0_on_one_coordinate_keeps_the_sign_of_zero(b0):
+    def grad(x, handle):
+        return np.array([-0.0])
+
+    draws = [np.array([-0.0])] * b0
+    assert init_v0(np.zeros(1), b0, grad).tobytes() == fixed_order_mean(draws).tobytes()
+
+
+def test_init_v0_memory_on_one_coordinate_does_not_grow_with_b0():
+    b0 = 100_000
+    grad = column_oracle(b0)
+    tracemalloc.start()
+    try:
+        init_v0(np.zeros(1), b0, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stacked draws alone would take b0 * 8 bytes = 800 kB.
+    assert peak < 64 * 1024
+
+
 def test_init_v0_validates_counts():
     grad = linear_oracle(np.eye(2))
     with pytest.raises(ConfigError):

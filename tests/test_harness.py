@@ -694,3 +694,42 @@ def test_figure_experiment_grid_search_picks_from_the_grid():
     )
     summary = figure1_experiment(estimators=("momentum",), steps=30, seed=1, problem=problem)
     assert summary["momentum"]["tuned_gamma"] in harness.GAMMA_GRID
+
+
+def test_figure_experiment_reuses_the_grid_winner_as_the_control(tmp_path, monkeypatch):
+    """The grid's winning control run is the uncompressed variant: the grid
+    runs it once per step size, the other four variants once each, and the
+    result is byte for byte that of a run at the tuned step size."""
+    problem = ProblemSpec(
+        kind="lin_reg", dim=6, n_samples=48, noise_std=0.1, condition=10.0, batch_size=1, seed=3
+    )
+    estimators = ("momentum", "storm")
+    calls = []
+    execute_run = harness.execute_run
+
+    def counting(config):
+        calls.append(config)
+        return execute_run(config)
+
+    monkeypatch.setattr(harness, "execute_run", counting)
+    tuned = figure1_experiment(
+        estimators=estimators, steps=30, seed=1, problem=problem, out_dir=tmp_path / "tuned"
+    )
+    assert len(calls) == len(estimators) * (len(harness.GAMMA_GRID) + 4)
+    for estimator in estimators:
+        fixed_calls = len(calls)
+        fixed = figure1_experiment(
+            estimators=(estimator,),
+            steps=30,
+            gamma=tuned[estimator]["tuned_gamma"],
+            seed=1,
+            problem=problem,
+            out_dir=tmp_path / "fixed",
+        )
+        assert len(calls) - fixed_calls == 5
+        assert fixed[estimator] == tuned[estimator]
+    written = sorted(path.name for path in (tmp_path / "tuned").iterdir())
+    assert len(written) == len(estimators) * 5
+    assert written == sorted(path.name for path in (tmp_path / "fixed").iterdir())
+    for name in written:
+        assert (tmp_path / "tuned" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()

@@ -5,6 +5,8 @@ geometric sums on a tiny synthetic residual history, and against the
 brute-force ghost gap of real runs through verify_residual_identity.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,39 +102,58 @@ def hand_weight(alpha_c, exponent):
     return 1.0 - (1.0 - alpha_c) ** exponent
 
 
+def hand_expanded(d, eta1, eta2, c1, c2, alpha_c, gamma, t, c2_sign=1):
+    """The three weighted sums of the closed form at step t, term by term."""
+    term1 = sum((hand_weight(alpha_c, t - s) * d[s] for s in range(t)), np.zeros(d.shape[1]))
+    term2 = sum((hand_weight(alpha_c, t - s - 1) * d[s] for s in range(t - 1)), np.zeros(d.shape[1]))
+    term3 = sum((hand_weight(alpha_c, t - s - 2) * d[s] for s in range(t - 2)), np.zeros(d.shape[1]))
+    return (gamma / alpha_c) * (eta1 * term1 - eta2 * c1 * term2 + c2_sign * eta2 * c2 * term3)
+
+
 def test_closed_form_matches_hand_expanded_sums():
-    alpha_c, gamma, t = 0.5, 0.1, 4
+    alpha_c, gamma = 0.5, 0.1
     d = np.array(
         [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [-1.0, 1.0], [0.5, 0.5]]
     )
+    # single compensation (eta1 = eta2 = c1 = 1, c2 = 0), then two-step
+    # compensation with the plus sign on the c2 term, at every step t
+    for coefficients in ((1.0, 1.0, 1.0, 0.0), scheme_coefficients("two_step", alpha_c)):
+        rows = list(residual_closed_form(d, *coefficients, alpha_c, gamma))
+        assert len(rows) == d.shape[0] + 1
+        for t, got in enumerate(rows):
+            expected = hand_expanded(d, *coefficients, alpha_c, gamma, t)
+            assert np.allclose(got, expected, atol=1e-15), t
 
-    # single compensation: eta1 = eta2 = c1 = 1, c2 = 0
-    term1 = sum(hand_weight(alpha_c, t - s) * d[s] for s in range(t))
-    term2 = sum(hand_weight(alpha_c, t - s - 1) * d[s] for s in range(t - 1))
-    expected = (gamma / alpha_c) * (term1 - term2)
-    got = residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, alpha_c, gamma, t)
-    assert np.allclose(got, expected, atol=1e-15)
 
-    # two-step compensation at the same point, plus sign on the c2 term
-    eta1, eta2, c1, c2 = scheme_coefficients("two_step", alpha_c)
-    term3 = sum(hand_weight(alpha_c, t - s - 2) * d[s] for s in range(t - 2))
-    expected = (gamma / alpha_c) * (eta1 * term1 - eta2 * c1 * term2 + eta2 * c2 * term3)
-    got = residual_closed_form(d, eta1, eta2, c1, c2, alpha_c, gamma, t)
-    assert np.allclose(got, expected, atol=1e-15)
+@pytest.mark.parametrize("c2_sign", [1, -1])
+@pytest.mark.parametrize("kind", ["none", "single", "two_step"])
+def test_every_closed_form_row_matches_the_hand_expanded_sums(kind, c2_sign):
+    alpha_c, gamma, steps = 0.3, 0.05, 40
+    d = np.random.default_rng(5).standard_normal((steps, 6))
+    d[0] = 0.0  # the uncompressed warm-start step leaves no residual
+    coefficients = scheme_coefficients(kind, alpha_c)
+    rows = list(residual_closed_form(d, *coefficients, alpha_c, gamma, c2_sign=c2_sign))
+    assert len(rows) == steps + 1
+    assert not rows[0].any() and not rows[1].any()
+    for t, got in enumerate(rows[2:], start=2):
+        expected = hand_expanded(d, *coefficients, alpha_c, gamma, t, c2_sign)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), t
 
 
 def test_closed_form_validates_inputs():
     d = np.zeros((3, 2))
     with pytest.raises(ConfigError):
-        residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, alpha=0.0, gamma=0.1, t=2)
+        residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, alpha=0.0, gamma=0.1)
     with pytest.raises(ConfigError):
-        residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, alpha=0.5, gamma=0.1, t=2, c2_sign=0)
+        residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, alpha=0.5, gamma=0.1, c2_sign=0)
 
 
 def test_closed_form_is_zero_before_any_residual():
     d = np.zeros((4, 3))
     d[2] = [1.0, 2.0, 3.0]
-    assert not residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, 0.5, 0.1, t=1).any()
+    rows = list(residual_closed_form(d, 1.0, 1.0, 1.0, 0.0, 0.5, 0.1))
+    assert not np.any(rows[:3])
+    assert rows[3].any()
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +217,43 @@ def test_residual_identity_holds_on_a_large_fleet(scheme_kind, compressor):
     report = verify_residual_identity(run(config))
     assert report.max_rel_error <= 1e-9
     assert report.resolved_sign == (1 if scheme_kind == "two_step" else None)
+
+
+def quadratic_run(dim, steps, **overrides):
+    fields = dict(
+        problem=ProblemSpec(kind="quadratic", spectrum=tuple(np.geomspace(1.0, 0.01, dim))),
+        estimator="momentum",
+        schedule=AlphaSchedule(kind="constant", alpha=0.5),
+        scheme=SchemeSpec(kind="two_step", beta=1.0),
+        compressor=CompressorSpec("one_bit"),
+        n_workers=2,
+        steps=steps,
+        gamma=0.1,
+        record_history=True,
+    )
+    fields.update(overrides)
+    return run(RunConfig(**fields))
+
+
+def test_residual_identity_holds_over_ten_thousand_steps():
+    report = verify_residual_identity(quadratic_run(dim=64, steps=10_000))
+    assert report.resolved_sign == 1
+    assert report.max_rel_error <= 1e-9
+
+
+def test_identity_check_never_holds_a_step_by_dimension_array():
+    """The check keeps O(d) state: at T = d = 2000 one (T, d) array of
+    float64 is 32 MB, and the whole check must stay far below that."""
+    trace = quadratic_run(dim=2000, steps=2000, n_workers=1)
+    one_array = trace.history.x.nbytes
+    tracemalloc.start()
+    try:
+        report = verify_residual_identity(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.resolved_sign == 1
+    assert peak < one_array / 20, (peak, one_array)
 
 
 # ---------------------------------------------------------------------------

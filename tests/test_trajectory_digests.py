@@ -4,10 +4,11 @@ Every run of a fixed quadratic grid is hashed (final_x and every history
 array) and compared with the digests the simulator produced before its
 steps were made to write into run-owned buffers (double_compression), or
 before the server's filter state became a row of the fleet's (single_round
-and single_worker).  A diagonal quadratic with decimal-literal eigenvalues
-keeps BLAS, LAPACK and libm out of these arrays: they come from elementwise
-IEEE arithmetic, numpy's fixed summation orders and numpy's Philox streams
-alone.
+and single_worker).  The ghost replay of the recorded runs is pinned the
+same way, from before it became a step iterator.  A diagonal quadratic with
+decimal-literal eigenvalues keeps BLAS, LAPACK and libm out of these arrays:
+they come from elementwise IEEE arithmetic, numpy's fixed summation orders
+and numpy's Philox streams alone.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import itertools
 
 import pytest
 
-from gradcomp import AlphaSchedule, CompressorSpec, ProblemSpec, RunConfig, SchemeSpec, run
+from gradcomp import AlphaSchedule, CompressorSpec, ProblemSpec, RunConfig, SchemeSpec, ghost_run, run
 
 PROBLEM = ProblemSpec(kind="quadratic", spectrum=(1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005))
 COMPRESSORS = {
@@ -39,6 +40,8 @@ TOPOLOGY_GRID = [
     for cell in GRID
     if topology == "single_round" or cell[3] == 1
 ]
+# The ghost replay of recorded runs, pinned before it became a step iterator.
+GHOST_GRID = list(itertools.product(("one_bit", "top_k"), ("none", "single", "two_step"), SCHEDULES, (1, 4)))
 
 # name -> sha256 of final_x and the five history arrays, first 16 hex digits.
 PINNED = {
@@ -274,9 +277,51 @@ PINNED_TOPOLOGIES = {
     "single_worker/identity/two_step/igt/n1": "1646250c79fcb0b4",
 }
 
+# GHOST_GRID -> sha256 of the ghost's u, x_hat and final_x_hat, first 16 hex
+# digits.  On a quadratic every worker sees the same gradient, so n = 1 and
+# n = 4 share a ghost.
+PINNED_GHOSTS = {
+    "one_bit/none/momentum/n1": "daa7cd0965e25f59",
+    "one_bit/none/momentum/n4": "daa7cd0965e25f59",
+    "one_bit/none/storm/n1": "fc9e5ce4a9f1f93a",
+    "one_bit/none/storm/n4": "fc9e5ce4a9f1f93a",
+    "one_bit/none/igt/n1": "c9a31df9cbc0de74",
+    "one_bit/none/igt/n4": "c9a31df9cbc0de74",
+    "one_bit/single/momentum/n1": "ab65196167190b61",
+    "one_bit/single/momentum/n4": "ab65196167190b61",
+    "one_bit/single/storm/n1": "04690f8521bbd06d",
+    "one_bit/single/storm/n4": "04690f8521bbd06d",
+    "one_bit/single/igt/n1": "324106214d86c295",
+    "one_bit/single/igt/n4": "324106214d86c295",
+    "one_bit/two_step/momentum/n1": "a5b69537bb65a61e",
+    "one_bit/two_step/momentum/n4": "a5b69537bb65a61e",
+    "one_bit/two_step/storm/n1": "707ceaee46a92c81",
+    "one_bit/two_step/storm/n4": "707ceaee46a92c81",
+    "one_bit/two_step/igt/n1": "eca10a47c4106da0",
+    "one_bit/two_step/igt/n4": "eca10a47c4106da0",
+    "top_k/none/momentum/n1": "ff7ebb407207451d",
+    "top_k/none/momentum/n4": "ff7ebb407207451d",
+    "top_k/none/storm/n1": "b2aac647aa4c6d82",
+    "top_k/none/storm/n4": "b2aac647aa4c6d82",
+    "top_k/none/igt/n1": "9e5f4c1c0b24ae49",
+    "top_k/none/igt/n4": "9e5f4c1c0b24ae49",
+    "top_k/single/momentum/n1": "a0239bc5967141b7",
+    "top_k/single/momentum/n4": "a0239bc5967141b7",
+    "top_k/single/storm/n1": "8efdc8c910b23a4a",
+    "top_k/single/storm/n4": "8efdc8c910b23a4a",
+    "top_k/single/igt/n1": "873baad4e0846acf",
+    "top_k/single/igt/n4": "873baad4e0846acf",
+    "top_k/two_step/momentum/n1": "f3d94d08e8466b2b",
+    "top_k/two_step/momentum/n4": "f3d94d08e8466b2b",
+    "top_k/two_step/storm/n1": "17517a04d890fc4b",
+    "top_k/two_step/storm/n4": "17517a04d890fc4b",
+    "top_k/two_step/igt/n1": "17acb707c9384471",
+    "top_k/two_step/igt/n4": "17acb707c9384471",
+}
 
-def digest(compressor: str, scheme: str, estimator: str, n: int, topology: str = "double_compression") -> str:
-    trace = run(
+
+def recorded_run(compressor: str, scheme: str, estimator: str, n: int, topology: str = "double_compression"):
+    return run(
         RunConfig(
             problem=PROBLEM,
             estimator=estimator,
@@ -291,6 +336,10 @@ def digest(compressor: str, scheme: str, estimator: str, n: int, topology: str =
             record_history=True,
         )
     )
+
+
+def digest(compressor: str, scheme: str, estimator: str, n: int, topology: str = "double_compression") -> str:
+    trace = recorded_run(compressor, scheme, estimator, n, topology)
     h = trace.history
     sha = hashlib.sha256()
     for array in (trace.final_x, h.x, h.v, h.a_bar, h.e_bar, h.delta_bar):
@@ -315,3 +364,16 @@ def test_trajectory_digest_is_pinned(compressor, scheme, estimator, n):
 def test_other_topology_digest_is_pinned(topology, compressor, scheme, estimator, n):
     key = f"{topology}/{name(compressor, scheme, estimator, n)}"
     assert digest(compressor, scheme, estimator, n, topology) == PINNED_TOPOLOGIES[key]
+
+
+def ghost_digest(compressor: str, scheme: str, estimator: str, n: int) -> str:
+    ghost = ghost_run(recorded_run(compressor, scheme, estimator, n))
+    sha = hashlib.sha256()
+    for array in (ghost.u, ghost.x_hat, ghost.final_x_hat):
+        sha.update(array.tobytes())
+    return sha.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("compressor, scheme, estimator, n", GHOST_GRID, ids=[name(*cell) for cell in GHOST_GRID])
+def test_ghost_digest_is_pinned(compressor, scheme, estimator, n):
+    assert ghost_digest(compressor, scheme, estimator, n) == PINNED_GHOSTS[name(compressor, scheme, estimator, n)]
