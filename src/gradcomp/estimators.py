@@ -18,7 +18,11 @@ and differ only in the inner estimate a_t and in how alpha_t is scheduled:
 The gradient oracle is any callable grad(x, sample) -> vector; the sample
 pins the minibatch so storm's two evaluations see the same samples.  It is
 a SampleHandle for problems.shard_sampler and the drawn dataset indices for
-a problem's own grad_at.
+a problem's own grad_at.  Those indices may be an (n, batch) stack, one
+row per worker: grad_at then returns an (n, d) stack (a quadratic's stays
+(d,)), and eval_a's arithmetic is elementwise, so each row of a_t has the
+bits a lone worker's call would give.  igt's extrapolated point is then
+computed once for the whole stack.
 """
 
 from __future__ import annotations
@@ -117,7 +121,10 @@ class Estimator:
             raise ConfigError("sgd runs with alpha fixed to 1; use momentum to average")
 
     def eval_a(self, x_t: np.ndarray, sample, alpha_t: float, grad) -> np.ndarray:
-        """Inner estimate a_t at x_t; pure given the oracle, reads x_prev only."""
+        """Inner estimate a_t at x_t; pure given the oracle, reads x_prev only.
+
+        sample may be a stack of minibatches; see the module docstring.
+        """
         if alpha_t <= 0.0:
             raise ConfigError(f"alpha_t must be positive, got {alpha_t}")
         if self.kind in ("sgd", "momentum"):

@@ -14,6 +14,14 @@ comes from minibatch sampling with replacement, keyed by SampleHandle so any
 draw can be replayed at a different point (needed by estimators that evaluate
 the same sample at two iterates).
 
+A dataset problem's grad_at(x, indices) also takes an (n, batch) stack of
+minibatches, one row per worker, and returns the (n, d) stack of their
+gradients.  Every row goes through the same float operations (a gather,
+rows @ x, the transposed rows times the residual, then division by the
+batch size) as a lone call on that row, so the stack equals the row-by-row
+calls bit for bit; the simulator evaluates its whole fleet this way.  A
+quadratic's grad_at returns the (d,) full gradient for indices of any shape.
+
 A problem's arrays (x_mat, y, w_true; h for quadratic) are read-only, so a
 problem can be shared between runs without one run's writes reaching the
 next.  The two dataset kinds start loss and full_grad from the same pass
@@ -157,6 +165,7 @@ class Quadratic:
         return self.h * np.asarray(x, dtype=np.float64)
 
     def grad_at(self, x, indices) -> np.ndarray:
+        """The full gradient, (d,) for indices of any shape: there is no data."""
         return self.full_grad(x)
 
     def minimizer(self) -> np.ndarray:
@@ -170,6 +179,16 @@ class Quadratic:
 
     def smoothness_per_sample(self) -> float:
         return self.smoothness()
+
+
+def _weighted_row_mean(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[..., j] rows[..., j, :] / batch, for (..., batch, d) rows.
+
+    Each minibatch of a stack is one matrix-vector product of its transposed
+    rows, the product a lone (batch, d) minibatch takes, so every row of the
+    result has that minibatch's bits.
+    """
+    return (np.swapaxes(rows, -1, -2) @ weights[..., None])[..., 0] / weights.shape[-1]
 
 
 class _Dataset:
@@ -228,8 +247,10 @@ class LinearRegression(_Dataset):
         return self.x_mat.T @ self._pass(x) / self.n_samples
 
     def grad_at(self, x, indices) -> np.ndarray:
+        """Minibatch gradient at x; indices of shape (..., batch) give (..., d)."""
+        indices = np.asarray(indices)
         rows = self.x_mat[indices]
-        return rows.T @ (rows @ x - self.y[indices]) / len(indices)
+        return _weighted_row_mean(rows, rows @ x - self.y[indices])
 
     def minimizer(self) -> np.ndarray:
         sol, *_ = np.linalg.lstsq(self.x_mat, self.y, rcond=None)
@@ -269,11 +290,13 @@ class LogisticRegression(_Dataset):
         return self.x_mat.T @ coeff / self.n_samples + self.spec.l2_reg * np.asarray(x)
 
     def grad_at(self, x, indices) -> np.ndarray:
+        """Minibatch gradient at x; indices of shape (..., batch) give (..., d)."""
+        indices = np.asarray(indices)
         rows = self.x_mat[indices]
         yb = self.y[indices]
         m = yb * (rows @ x)
         coeff = -yb * self._sigma_neg(m)
-        return rows.T @ coeff / len(indices) + self.spec.l2_reg * np.asarray(x)
+        return _weighted_row_mean(rows, coeff) + self.spec.l2_reg * np.asarray(x)
 
     def smoothness(self) -> float:
         op = np.linalg.norm(self.x_mat, ord=2)

@@ -36,11 +36,15 @@ minibatches of a block of steps for the whole fleet in one
 fleet_minibatches call and hands each step its (n, batch) rows.  A block
 holds at most SAMPLE_BLOCK indices (but at least one step), so its memory
 is bounded for any batch size, and it reproduces the per-handle draws bit
-for bit.  Gradients (one grad_at per worker and evaluation) and
-compression (one compress per row) stay per worker, so each row is
-computed by the same float operations a lone worker would perform.  Row
-computations touch only that worker's state and keyed randomness, so their
-order cannot matter.
+for bit.  run_step evaluates the whole fleet's estimates in one eval_a
+call on the step's (n, batch) rows: grad_at takes the stack and computes
+each worker's row with the same float operations a lone call on that row
+performs, and storm and root_sgd make one such call at x_t and one at
+x_prev.  One call gathers at most SAMPLE_BLOCK floats of the dataset (but
+at least one worker's rows), so runs with many workers or wide minibatches
+take a few calls per step.  Compression stays per worker (one compress per
+row).  Row computations touch only that worker's state and keyed
+randomness, so their order cannot matter.
 
 Buffer ownership.  A run allocates its per-step vectors once and a step
 overwrites them in place:
@@ -59,9 +63,10 @@ Nothing a caller keeps points into these buffers: the StepResult arrays
 trace's x0 and v0 and the history rows (copies) are all new arrays, so no
 later step can change them.
 
-A problem without data (a quadratic) ignores the minibatch, so run_step
-evaluates its estimate once and writes it into every row of the messages,
-the same bits n separate evaluations would give.
+A problem without data (a quadratic) ignores the minibatch: its grad_at
+returns the (d,) full gradient for any stack of indices, so the one eval_a
+call yields a single estimate, which is broadcast into every worker row of
+the messages, the same bits n separate evaluations would give.
 
 One problem per spec.  build_context keeps the last (ProblemSpec, problem)
 pair it built, and a config whose problem spec equals that spec reuses the
@@ -111,7 +116,8 @@ from .problems import (
 TOPOLOGIES = ("double_compression", "single_round", "single_worker")
 
 DIVERGENCE_NORM = 1e12
-# Most minibatch indices drawn per fleet_minibatches call (at least one step).
+# Most minibatch indices drawn per fleet_minibatches call (at least one step),
+# and most dataset floats gathered per stacked grad_at call (at least one worker).
 SAMPLE_BLOCK = 2**16
 # The per-step metric columns _Recorder preallocates, in RunTrace's order.
 METRIC_COLUMNS = (
@@ -250,7 +256,7 @@ def run_step(
 
     fleet holds every node's filter state as (n + 1, d) arrays, row i for
     worker i and row n for the server.  Row i of batches holds worker i's
-    minibatch indices for this step.
+    minibatch indices for this step; the whole stack goes to eval_a.
     """
     config = runtime.config
     schedule, scheme = config.schedule, config.scheme
@@ -263,12 +269,14 @@ def run_step(
     # The residual buffer of step t-2 is dead once the filter has read it.
     residuals = fleet.delta_2
     messages = runtime.messages[:n]
-    if runtime.problem.n_samples == 0:
-        # No data, so every worker's estimate is the same computation.
-        messages[:] = estimator.eval_a(x_t, batches[0], a_t, runtime.problem.grad_at)
-    else:
-        for i in range(n):
-            messages[i] = estimator.eval_a(x_t, batches[i], a_t, runtime.problem.grad_at)
+    # Stacked grad_at calls gather at most SAMPLE_BLOCK floats each (but at
+    # least one worker).  A quadratic gathers nothing, and its (d,) estimate
+    # broadcasts over every worker row.
+    gathered = batches.shape[1] * messages.shape[1]
+    group = max(1, SAMPLE_BLOCK // gathered) if gathered else n
+    for lo in range(0, n, group):
+        rows = slice(lo, lo + group)
+        messages[rows] = estimator.eval_a(x_t, batches[rows], a_t, runtime.problem.grad_at)
     a_bar = fixed_order_mean(messages) if config.record_history else None
     if weighted:
         np.multiply(messages, a_t, out=messages)
@@ -395,35 +403,35 @@ class _Recorder:
         )
 
 
-def _check_trace_fits(config: RunConfig) -> None:
-    """Reject a run whose trace arrays would not fit in physical memory.
+def _check_run_fits(config: RunConfig) -> None:
+    """Reject a run whose preallocated arrays would not fit in physical memory.
 
     _Recorder preallocates len(METRIC_COLUMNS) float64 columns of `steps`
-    rows, and five (steps, d) history arrays when the run records them, so
-    a long or wide run would otherwise fail (or swap) only after its
-    problem was built.  The error names steps when the columns alone are
-    too large, and record_ghost when the history is what does not fit.
+    rows, the fleet's e, delta_1 and delta_2 and Runtime.messages are four
+    (n + 1, d) arrays, and a run that records its history adds five
+    (steps, d) arrays.  A long, wide or many-worker run would otherwise
+    fail (or swap) only after its problem was built.  The arrays are added
+    up in that order, and the error names the field whose arrays push the
+    total past physical memory: steps, n_workers or record_ghost.
     """
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    itemsize = np.dtype(np.float64).itemsize
-    columns = len(METRIC_COLUMNS) * config.steps * itemsize
-    if columns > physical:
-        raise ConfigError(
-            f"steps: the metric columns of {config.steps} steps need "
-            f"{columns / 2**30:.1f} GiB, more than the {physical / 2**30:.1f} GiB "
-            "of physical memory"
-        )
-    if not config.record_history:
-        return
     spec = config.problem
     dim = len(spec.spectrum) if spec.kind == "quadratic" else spec.dim
-    needed = columns + 5 * config.steps * dim * itemsize
-    if needed > physical:
-        raise ConfigError(
-            f"record_ghost: the history of {config.steps} steps at d={dim} needs "
-            f"{needed / 2**30:.1f} GiB with the metric columns, more than the "
-            f"{physical / 2**30:.1f} GiB of physical memory"
-        )
+    n, steps = config.n_workers, config.steps
+    arrays = [
+        ("steps", len(METRIC_COLUMNS) * steps, f"the metric columns of {steps} steps"),
+        ("n_workers", 4 * (n + 1) * dim, f"the fleet state of {n} workers at d={dim}"),
+    ]
+    if config.record_history:
+        arrays.append(("record_ghost", 5 * steps * dim, f"the history of {steps} steps at d={dim}"))
+    needed = 0
+    for name, floats, what in arrays:
+        needed += floats * np.dtype(np.float64).itemsize
+        if needed > physical:
+            raise ConfigError(
+                f"{name}: {what} brings the run to {needed / 2**30:.1f} GiB, more than "
+                f"the {physical / 2**30:.1f} GiB of physical memory"
+            )
 
 
 # The last (ProblemSpec, problem) pair build_context built; see the module docstring.
@@ -453,7 +461,7 @@ def run(config: RunConfig) -> RunTrace:
     escapes; a run with scheme "none" under aggressive compression is
     expected to do so.
     """
-    _check_trace_fits(config)
+    _check_run_fits(config)
     problem, shards, grad = build_context(config)
     dim = problem.dim
     n = config.n_workers

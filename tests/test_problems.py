@@ -277,6 +277,31 @@ def test_stoch_grad_reuses_the_handles_samples_across_points():
     assert np.array_equal(stoch_grad(problem, shard, x, handle), expected)
 
 
+@pytest.mark.parametrize("batch", [1, 3, 8, 33])
+@pytest.mark.parametrize("spec", [LIN, LOG], ids=["lin_reg", "log_reg"])
+def test_stacked_grad_at_equals_the_row_by_row_calls_byte_for_byte(spec, batch):
+    problem = make_problem(spec)
+    rng = np.random.default_rng(batch)
+    for n in (1, 3, 8):
+        indices = rng.integers(0, problem.n_samples, size=(n, batch))
+        x = rng.standard_normal(problem.dim)
+        stacked = problem.grad_at(x, indices)
+        assert stacked.shape == (n, problem.dim)
+        for i in range(n):
+            assert stacked[i].tobytes() == problem.grad_at(x, indices[i]).tobytes()
+    # the one-minibatch path still takes any array-like of indices
+    listed = [int(i) for i in indices[0]]
+    assert problem.grad_at(x, listed).tobytes() == stacked[0].tobytes()
+
+
+def test_quadratic_grad_at_ignores_a_stack_of_empty_minibatches():
+    problem = make_problem(QUAD)
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    got = problem.grad_at(x, np.empty((3, 0), dtype=np.int64))
+    assert got.shape == (4,)
+    assert got.tobytes() == full_grad(problem, x).tobytes()
+
+
 def test_stoch_grad_on_sample_free_problem_is_exact():
     problem = make_problem(QUAD)
     shard = partition_data(problem, 1, seed=0)[0]

@@ -8,6 +8,8 @@ package's own compression and compensation helpers.
 
 import dataclasses
 import gc
+import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +28,7 @@ from gradcomp import (
     scheme_coefficients,
     simulator,
 )
+from gradcomp.problems import LinearRegression, LogisticRegression
 
 QUAD2 = ProblemSpec(kind="quadratic", spectrum=(1.0, 2.0))
 LIN = ProblemSpec(
@@ -347,6 +350,26 @@ def test_history_larger_than_physical_memory_is_rejected_up_front(monkeypatch):
         run(RunConfig(problem=spec, steps=10_000))
 
 
+def test_a_fleet_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
+    def no_problem(spec):
+        raise AssertionError("make_problem ran before the fleet check")
+
+    monkeypatch.setattr(simulator, "make_problem", no_problem)
+    dim = 10**4
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # four (n + 1, d) float64 arrays: 32 GB at n = 10^5, and always past physical memory
+    n = max(10**5, physical // (4 * 8 * dim) + 1)
+    config = RunConfig(problem=ProblemSpec(kind="quadratic", spectrum=(1.0,) * dim), n_workers=n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^n_workers: "):
+            run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # the one-entry problem cache
 
@@ -510,3 +533,75 @@ def test_server_compression_only_in_double_topology():
         )
     )
     assert compressed.server_delta_norm[1:].any()
+
+
+# ---------------------------------------------------------------------------
+# stacked gradients
+
+
+def run_stacked_and_row_by_row(monkeypatch, config):
+    """(trace, the same run with each stacked grad_at answered row by row, stack sizes seen)."""
+    sizes, by_rows = [], []
+    for cls in (LinearRegression, LogisticRegression):
+
+        def grad_at(self, x, indices, original=cls.grad_at):
+            if np.ndim(indices) == 1:
+                return original(self, x, indices)
+            if by_rows:
+                return np.stack([original(self, x, row) for row in indices])
+            sizes.append(len(indices))
+            return original(self, x, indices)
+
+        monkeypatch.setattr(cls, "grad_at", grad_at)
+    stacked = run(config)
+    by_rows.append(True)
+    return stacked, run(config), sizes
+
+
+def trace_bytes(trace):
+    arrays = [getattr(trace, name) for name in simulator.METRIC_COLUMNS]
+    arrays += [trace.steps, trace.cum_bits, trace.x0, trace.v0, trace.final_x,
+               trace.final_loss, trace.final_grad_norm_sq, *vars(trace.history).values()]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("compressor", [CompressorSpec("one_bit"), CompressorSpec("top_k", k=3),
+                                        CompressorSpec("rand_k", k=3)], ids=lambda c: c.kind)
+@pytest.mark.parametrize("topology", ["double_compression", "single_round", "single_worker"])
+@pytest.mark.parametrize("kind", ["lin_reg", "log_reg"])
+@pytest.mark.parametrize("estimator", ["sgd", "momentum", "storm", "root_sgd", "igt"])
+def test_stacked_gradients_match_the_row_by_row_run(
+    monkeypatch, estimator, kind, topology, compressor
+):
+    spec = ProblemSpec(kind=kind, dim=8, n_samples=64, noise_std=0.1, l2_reg=0.05,
+                       batch_size=3, seed=3)
+    schedule = AlphaSchedule()
+    if estimator != "sgd":
+        schedule = AlphaSchedule(kind="inverse_linear", c0=0.1)
+    n = 1 if topology == "single_worker" else 3
+    config = RunConfig(problem=spec, estimator=estimator, schedule=schedule,
+                       scheme=SchemeSpec(kind="two_step", beta=0.3), compressor=compressor,
+                       topology=topology, n_workers=n, steps=10, gamma=0.05, b0=2, seed=7,
+                       record_history=True)
+    stacked, by_rows, sizes = run_stacked_and_row_by_row(monkeypatch, config)
+    evaluations = 2 if estimator in ("storm", "root_sgd") else 1
+    assert sizes == [n] * (evaluations * (config.steps - 1))
+    assert trace_bytes(stacked) == trace_bytes(by_rows)
+
+
+def test_a_fleet_wider_than_one_gather_is_stacked_in_groups(monkeypatch):
+    dim, batch = 64, 64
+    group = simulator.SAMPLE_BLOCK // (batch * dim)
+    n = group + 4
+    spec = ProblemSpec(
+        kind="log_reg", dim=dim, n_samples=256, l2_reg=0.05, batch_size=batch, seed=3
+    )
+    config = RunConfig(problem=spec, estimator="storm",
+                       schedule=AlphaSchedule(kind="inverse_linear", c0=0.1),
+                       scheme=SchemeSpec(kind="two_step", beta=0.3),
+                       compressor=CompressorSpec("top_k", k=8), n_workers=n, steps=4, gamma=0.05,
+                       b0=2, seed=7, record_history=True)
+    stacked, by_rows, sizes = run_stacked_and_row_by_row(monkeypatch, config)
+    # storm evaluates each group at x_t and at x_prev before the next group
+    assert sizes == [group, group, n - group, n - group] * (config.steps - 1)
+    assert trace_bytes(stacked) == trace_bytes(by_rows)
