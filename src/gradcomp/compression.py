@@ -19,13 +19,22 @@ of single-float residual: x - c with |c| > 2|x| needs more significand bits
 than the format has, and the deviation is at most half an ulp of the
 compressed magnitude.
 
-Buffer ownership.  Without ``out``, compress returns two new arrays.  With
-``out=(compressed, residual)`` it writes the pair into the caller's (d,)
-float64 buffers and returns them; ``compressed`` may be the input itself,
-so a message can be compressed in place, but ``residual`` must share no
-memory with either.  Every kind reads the input in full, or one tile of it,
-before it writes that part of ``compressed``.  Both ways run the same float
-operations on every coordinate, so their results are bitwise equal.
+Buffer ownership.  compress takes one (d,) message or an (m, d) stack of
+them.  Row j of a stack is the message of node node_id + j, and it comes out
+with the bits a lone call on that row with node_id + j gives, random draws
+included.  Without ``out``, compress returns two new arrays of x's shape.
+With ``out=(compressed, residual)`` it writes the pair into the caller's
+float64 buffers of x's shape and returns them; ``compressed`` may be the
+input itself, so a fleet's messages can be compressed in place, but
+``residual`` must share no memory with either.  identity and one_bit work on
+the whole stack at once: one_bit sums every row's magnitudes in one
+reduction over the row axis (each row in the pairwise order of a lone sum)
+and signs the stack in tiles of at most SIGN_TILE elements, so its
+temporaries do not grow with m or d.  top_k, rand_k and stoch_quant
+compress the rows one after another.  Every kind reads a row in full, or
+one tile of it, before it writes that part of ``compressed``.  Both ways
+run the same float operations on every coordinate, so their results are
+bitwise equal.
 """
 
 from __future__ import annotations
@@ -91,10 +100,10 @@ class CompressionResult:
 
 def _check_input(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError(f"compress expects a 1-d vector, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise ConfigError(f"compress expects a (d,) vector or an (m, d) stack, got shape {x.shape}")
     if x.size == 0:
-        raise ConfigError("compress expects a non-empty vector")
+        raise ConfigError(f"compress expects non-empty input, got shape {x.shape}")
     return x
 
 
@@ -124,7 +133,8 @@ def _emit_signed(xt, magnitude, compressed_t, residual_t) -> None:
 
     Zeros of either sign count as positive.  As magnitude >= 0, sign(x) *
     magnitude equals copysign(magnitude, x + 0.0) bit for bit: x + 0.0 maps
-    -0.0 to +0.0 and keeps every other sign.
+    -0.0 to +0.0 and keeps every other sign.  magnitude is a scalar or
+    broadcasts against the tile, as one_bit's column of row scales does.
     """
     signed = xt + 0.0
     np.copysign(magnitude, signed, out=signed)
@@ -156,38 +166,10 @@ def _quantize(x, levels: int, scale: float, rng, compressed, residual) -> None:
         _emit_signed(xt, level, compressed[lo:hi], residual[lo:hi])
 
 
-def compress(
-    x, spec: CompressorSpec, step: int = 0, node_id: int = 0, out=None
-) -> CompressionResult:
-    """Compress x, returning the message and the residual it leaves behind.
-
-    step and node_id key the randomized kinds so that worker draws are
-    independent across steps and nodes yet exactly reproducible.  out, if
-    given, is the (compressed, residual) pair of buffers to write; see the
-    module docstring for which of them may alias x.
-    """
-    x = _check_input(x)
+def _compress_row(x, spec: CompressorSpec, step: int, node_id: int, compressed, residual) -> None:
+    """top_k, rand_k or stoch_quant on one (d,) row, drawing as node node_id."""
     d = x.size
-    if spec.kind in ("top_k", "rand_k") and spec.k > d:
-        raise ConfigError(f"compressor k={spec.k} exceeds vector dimension {d}")
-    if out is None:
-        compressed, residual = np.empty(d), np.empty(d)
-    else:
-        compressed, residual = out
-        if not (compressed.shape == residual.shape == x.shape) or not (
-            compressed.dtype == residual.dtype == _FLOAT64
-        ):
-            raise ConfigError(f"compress out buffers must be ({d},) float64 arrays")
-
-    if spec.kind == "identity":
-        np.subtract(x, x, out=residual)
-        compressed[...] = x
-    elif spec.kind == "one_bit":
-        scale = float(np.abs(x, out=residual).sum()) / d
-        for lo in range(0, d, SIGN_TILE):
-            hi = lo + SIGN_TILE
-            _emit_signed(x[lo:hi], scale, compressed[lo:hi], residual[lo:hi])
-    elif spec.kind in ("top_k", "rand_k"):
+    if spec.kind in ("top_k", "rand_k"):
         if spec.kind == "top_k":
             keep = _largest(x, spec.k, residual)
         else:
@@ -200,7 +182,7 @@ def compress(
         residual[keep] = values - sent
         compressed.fill(0.0)
         compressed[keep] = sent
-    elif spec.kind == "stoch_quant":
+    else:  # stoch_quant
         scale = float(np.abs(x, out=residual).max())
         if scale == 0.0:
             residual[...] = x
@@ -208,8 +190,64 @@ def compress(
         else:
             rng = keyed_generator(spec.seed or 0, STREAM_COMPRESS, step, node_id)
             _quantize(x, spec.levels, scale, rng, compressed, residual)
-    else:  # unreachable: spec validates kind
-        raise ConfigError(f"unknown compressor kind {spec.kind!r}")
+
+
+def compress(
+    x, spec: CompressorSpec, step: int = 0, node_id: int = 0, out=None
+) -> CompressionResult:
+    """Compress x, returning the message and the residual it leaves behind.
+
+    x is one (d,) message or an (m, d) stack whose row j is node node_id +
+    j's message.  step and node_id key the randomized kinds so that draws
+    are independent across steps and nodes yet exactly reproducible.  out,
+    if given, is the (compressed, residual) pair of buffers to write; see
+    the module docstring for which of them may alias x.
+    """
+    x = _check_input(x)
+    d = x.shape[-1]
+    if spec.kind in ("top_k", "rand_k") and spec.k > d:
+        raise ConfigError(f"compressor k={spec.k} exceeds vector dimension {d}")
+    if out is None:
+        compressed, residual = np.empty(x.shape), np.empty(x.shape)
+    else:
+        compressed, residual = out
+        if not (compressed.shape == residual.shape == x.shape) or not (
+            compressed.dtype == residual.dtype == _FLOAT64
+        ):
+            raise ConfigError(f"compress out buffers must be {x.shape} float64 arrays")
+
+    # (m, d) views of all three; a (d,) vector is a stack of one row.
+    xs, cs, rs = x, compressed, residual
+    if x.ndim == 1:
+        xs, cs, rs = x[None], compressed[None], residual[None]
+    m = len(xs)
+    if spec.kind == "identity":
+        np.subtract(xs, xs, out=rs)
+        cs[...] = xs
+    elif spec.kind == "one_bit":
+        np.abs(xs, out=rs)
+        # A reduction over the last axis of a C-contiguous stack sums each
+        # row pairwise, as a lone row's sum does; other layouts go row by row.
+        if rs.flags.c_contiguous:
+            sums = rs.sum(axis=1, keepdims=True)
+        else:
+            sums = np.array([[row.sum()] for row in rs])
+        scale = sums / d
+        # Tiles of at most SIGN_TILE elements: blocks of whole rows, or
+        # slices of one row when a row is wider than a tile.
+        if d <= SIGN_TILE:
+            block = SIGN_TILE // d
+            for lo in range(0, m, block):
+                rows = slice(lo, lo + block)
+                _emit_signed(xs[rows], scale[rows], cs[rows], rs[rows])
+        else:
+            for j in range(m):
+                for lo in range(0, d, SIGN_TILE):
+                    cols = slice(lo, lo + SIGN_TILE)
+                    _emit_signed(xs[j, cols], scale[j], cs[j, cols], rs[j, cols])
+    else:
+        for j in range(m):
+            _compress_row(xs[j], spec, step, node_id + j, cs[j], rs[j])
 
     return CompressionResult(compressed=compressed, residual=residual)
 

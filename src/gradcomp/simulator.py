@@ -42,18 +42,19 @@ each worker's row with the same float operations a lone call on that row
 performs, and storm and root_sgd make one such call at x_t and one at
 x_prev.  One call gathers at most SAMPLE_BLOCK floats of the dataset (but
 at least one worker's rows), so runs with many workers or wide minibatches
-take a few calls per step.  Compression stays per worker (one compress per
-row).  Row computations touch only that worker's state and keyed
-randomness, so their order cannot matter.
+take a few calls per step.  One compress call compresses the (n, d) stack
+of worker messages in place, row i keyed as node i, and a second one the
+server's broadcast as node n.  compress gives each row of a stack the bits
+a lone call on that row gives, so no row depends on another.
 
 Buffer ownership.  A run allocates its per-step vectors once and a step
 overwrites them in place:
     Runtime.messages    (n + 1, d): rows 0..n-1 hold the estimates, then
                         the a_t weighting and compensate write the
-                        messages over them, and each row is compressed in
-                        place; row n holds the worker average, which the
-                        server compensates and compresses in place into
-                        the broadcast;
+                        messages over them, and one compress call
+                        overwrites them in place; row n holds the worker
+                        average, which the server compensates and
+                        compresses in place into the broadcast;
     fleet.delta_2       the residuals of step t-2 are dead once the filter
                         has read them, so step t's residuals go there and
                         shift_deltas makes them delta_1;
@@ -119,6 +120,10 @@ DIVERGENCE_NORM = 1e12
 # Most minibatch indices drawn per fleet_minibatches call (at least one step),
 # and most dataset floats gathered per stacked grad_at call (at least one worker).
 SAMPLE_BLOCK = 2**16
+# (n_samples, d) float64 arrays problems._designed_matrix holds at its peak:
+# the raw draw, the SVD's u, u scaled by the singular values and the product
+# (during the SVD, LAPACK's copy of the input and its workspace).
+DESIGN_COPIES = 4
 # The per-step metric columns _Recorder preallocates, in RunTrace's order.
 METRIC_COLUMNS = (
     "loss", "grad_norm_sq", "v_norm", "worker_delta_norm", "server_delta_norm", "delta_bar_norm",
@@ -244,6 +249,14 @@ class Runtime:
     messages: np.ndarray  # (n + 1, d): worker estimates then messages; row n the broadcast
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a contiguous 1-d float64 vector, bit for bit.
+
+    numpy computes that norm as sqrt(v.dot(v)); this skips its dispatch.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def run_step(
     t: int,
     x_t: np.ndarray,
@@ -281,9 +294,7 @@ def run_step(
     if weighted:
         np.multiply(messages, a_t, out=messages)
     compensate(messages, e[:n], out=messages)
-    for i in range(n):
-        row = messages[i]
-        compress(row, runtime.worker_spec, step=t, node_id=i, out=(row, residuals[i]))
+    compress(messages, runtime.worker_spec, step=t, node_id=0, out=(messages, residuals[:n]))
     broadcast = fixed_order_mean(messages, out=runtime.messages[n])
     if config.topology == "double_compression":
         compensate(broadcast, e[n], out=broadcast)
@@ -299,7 +310,7 @@ def run_step(
     np.subtract(x_t, x_next, out=x_next)
 
     worker_delta_mean = fixed_order_mean(residuals[:n])
-    worker_delta_norm = float(np.linalg.norm(worker_delta_mean))
+    worker_delta_norm = _norm(worker_delta_mean)
     e_bar = None
     if config.record_history:
         e_bar = fixed_order_mean(e[:n])
@@ -311,7 +322,7 @@ def run_step(
         e_bar=e_bar,
         delta_bar=np.add(server_delta, worker_delta_mean, out=worker_delta_mean),
         worker_delta_norm=worker_delta_norm,
-        server_delta_norm=float(np.linalg.norm(server_delta)),
+        server_delta_norm=_norm(server_delta),
     )
 
 
@@ -361,10 +372,10 @@ class _Recorder:
         columns = self.columns
         columns["loss"][t] = loss(problem, x_t)
         columns["grad_norm_sq"][t] = float(np.dot(g, g))
-        columns["v_norm"][t] = float(np.linalg.norm(step.v))
+        columns["v_norm"][t] = _norm(step.v)
         columns["worker_delta_norm"][t] = step.worker_delta_norm
         columns["server_delta_norm"][t] = step.server_delta_norm
-        columns["delta_bar_norm"][t] = float(np.linalg.norm(step.delta_bar))
+        columns["delta_bar_norm"][t] = _norm(step.delta_bar)
         if self.hist is not None:
             self.hist.x[t] = x_t
             self.hist.v[t] = step.v
@@ -375,7 +386,7 @@ class _Recorder:
 
         x, v = step.x_next, step.v
         diverged = not (np.isfinite(v).all() and np.isfinite(x).all())
-        if diverged or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+        if diverged or _norm(x) > DIVERGENCE_NORM:
             raise DivergenceError(t, self.build(x))
 
     def build(self, final_x: np.ndarray) -> RunTrace:
@@ -409,10 +420,13 @@ def _check_run_fits(config: RunConfig) -> None:
     _Recorder preallocates len(METRIC_COLUMNS) float64 columns of `steps`
     rows, the fleet's e, delta_1 and delta_2 and Runtime.messages are four
     (n + 1, d) arrays, and a run that records its history adds five
-    (steps, d) arrays.  A long, wide or many-worker run would otherwise
-    fail (or swap) only after its problem was built.  The arrays are added
-    up in that order, and the error names the field whose arrays push the
-    total past physical memory: steps, n_workers or record_ghost.
+    (steps, d) arrays.  A dataset problem's design matrix is n_samples x d,
+    and problems._designed_matrix holds DESIGN_COPIES such arrays at its
+    peak.  A long, wide or many-worker run, or a large dataset, would
+    otherwise fail (or swap) only after its problem was built.  The arrays
+    are added up in that order, and the error names the field whose arrays
+    push the total past physical memory: steps, n_workers, record_ghost or
+    n_samples.
     """
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     spec = config.problem
@@ -424,6 +438,9 @@ def _check_run_fits(config: RunConfig) -> None:
     ]
     if config.record_history:
         arrays.append(("record_ghost", 5 * steps * dim, f"the history of {steps} steps at d={dim}"))
+    if spec.n_samples:
+        arrays.append(("n_samples", DESIGN_COPIES * spec.n_samples * dim,
+                       f"the design matrix of {spec.n_samples} samples at d={dim}"))
     needed = 0
     for name, floats, what in arrays:
         needed += floats * np.dtype(np.float64).itemsize

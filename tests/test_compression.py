@@ -8,6 +8,8 @@ below stay inside that zone on purpose; the boundary test documents what
 happens outside it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,8 +50,11 @@ def test_spec_rejects_negative_seed():
 
 
 def test_compress_rejects_bad_shapes():
+    # a (d,) vector and an (m, d) stack are the two accepted shapes
     with pytest.raises(ConfigError):
-        compress(np.zeros((2, 2)), CompressorSpec("identity"))
+        compress(np.zeros((2, 2, 2)), CompressorSpec("identity"))
+    with pytest.raises(ConfigError):
+        compress(np.zeros((2, 0)), CompressorSpec("identity"))
     with pytest.raises(ConfigError):
         compress(np.array([]), CompressorSpec("identity"))
 
@@ -366,3 +371,100 @@ def test_top_k_selection_matches_a_stable_argsort(values, data):
     k = data.draw(st.one_of(st.just(1), st.just(x.size), st.integers(1, x.size)), label="k")
     expected = np.sort(np.argsort(-np.abs(x), kind="stable")[:k])
     assert np.array_equal(np.sort(_largest(x, k, np.empty(x.size))), expected)
+
+
+# ---------------------------------------------------------------------------
+# an (m, d) stack against m lone calls
+
+
+def stack_with_specials(m, d, rng):
+    """m rows of d values; row j is one of four kinds, so that every m covers special values.
+
+    Kinds: mixed-scale normals; normals with SPECIAL values (NaN, +-inf,
+    +-0.0, subnormals) planted; +-0.0 only; normals with one +inf and one -inf.
+    """
+    x = rng.standard_normal((m, d)) * rng.choice([1e-300, 1.0, 1e300], (m, d))
+    for j in range(m):
+        kind = (j + m) % 4
+        if kind == 1:
+            planted = rng.choice(d, min(d, 40), replace=False)
+            x[j, planted] = rng.choice(SPECIAL, planted.size)
+        elif kind == 2:
+            x[j] = rng.choice([0.0, -0.0], d)
+        elif kind == 3:
+            x[j, rng.choice(d, min(d, 2), replace=False)] = [np.inf, -np.inf][: min(d, 2)]
+    return x
+
+
+def fresh_buffers(layout, x):
+    """A (compressed, residual) pair for an out layout, or None for new arrays."""
+    if layout == "new":
+        return None
+    if layout == "in place":
+        return x.copy(), np.full(x.shape, 7.0)
+    return np.full(x.shape, 7.0, order=layout), np.full(x.shape, 7.0, order=layout)
+
+
+def check_stack_against_rows(x, spec, step):
+    """compress of the stack has the bytes of one call per row, in every buffer layout.
+
+    Each layout is compared with row calls into rows of the same layout: a
+    lone call already gives another NaN payload when its buffers are
+    strided (numpy's max picks a different NaN then).
+    """
+    label = f"{spec.kind} k={spec.k} levels={spec.levels} rescale={spec.rescale} shape={x.shape}"
+    for layout in ("new", "C", "F", "in place"):
+        out = fresh_buffers(layout, x)
+        stacked = compress(out[0] if layout == "in place" else x, spec, step=step, node_id=5, out=out)
+        if out is not None:
+            assert stacked.compressed is out[0] and stacked.residual is out[1], label
+        rows = fresh_buffers(layout, x) or (np.empty(x.shape), np.empty(x.shape))
+        for j in range(len(x)):
+            source = rows[0][j] if layout == "in place" else x[j]
+            into = None if layout == "new" else (rows[0][j], rows[1][j])
+            result = compress(source, spec, step=step, node_id=5 + j, out=into)
+            rows[0][j], rows[1][j] = result.compressed, result.residual
+        assert stacked.compressed.tobytes() == rows[0].tobytes(), f"{label} {layout}"
+        assert stacked.residual.tobytes() == rows[1].tobytes(), f"{label} {layout}"
+
+
+# d = 5000 signs 9 rows in blocks of 6 and 3; wider rows are tiled within the row.
+@pytest.mark.parametrize("d", [1, 20, 5000, 70_001, 2**18])
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_a_stack_compresses_to_the_bytes_of_one_call_per_row(m, d):
+    x = stack_with_specials(m, d, np.random.default_rng(m * 1000 + d))
+    with np.errstate(all="ignore"):
+        for spec in specs_for(d):
+            check_stack_against_rows(x, spec, step=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=5),
+    values=st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL)),
+        min_size=1,
+        max_size=12,
+    ),
+    step=st.integers(min_value=0, max_value=50),
+)
+def test_any_stack_compresses_to_the_bytes_of_one_call_per_row(rows, values, step):
+    x = np.tile(np.array(values, dtype=np.float64), (rows, 1))
+    with np.errstate(all="ignore"):
+        x *= np.arange(1, rows + 1)[:, None]  # rows differ in scale, and in one_bit's scale
+        for spec in specs_for(x.shape[1]):
+            check_stack_against_rows(x, spec, step)
+
+
+@pytest.mark.parametrize("m,d", [(40, 5000), (9, 70_001)])
+def test_one_bit_temporaries_stay_within_a_tile_for_any_stack(m, d):
+    x = np.random.default_rng(7).standard_normal((m, d))
+    out = (np.empty((m, d)), np.empty((m, d)))
+    tracemalloc.start()
+    try:
+        compress(x, CompressorSpec("one_bit"), out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one tile's temporary is SIGN_TILE floats (256 KiB); the stack is 1.6 or 5.0 MB
+    assert peak < 2 * SIGN_TILE * 8

@@ -28,6 +28,7 @@ from gradcomp import (
     scheme_coefficients,
     simulator,
 )
+from gradcomp.compression import CompressionResult
 from gradcomp.problems import LinearRegression, LogisticRegression
 
 QUAD2 = ProblemSpec(kind="quadratic", spectrum=(1.0, 2.0))
@@ -345,9 +346,29 @@ def test_history_larger_than_physical_memory_is_rejected_up_front(monkeypatch):
     config = RunConfig(problem=spec, steps=10_000, record_history=True)
     with pytest.raises(ConfigError, match="record_ghost"):
         run(config)
-    # without the history the same config goes on to build its problem
-    with pytest.raises(AssertionError, match="make_problem"):
+    # without the history the same config is still rejected, for its design matrix
+    with pytest.raises(ConfigError, match="^n_samples: "):
         run(RunConfig(problem=spec, steps=10_000))
+
+
+def test_a_dataset_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
+    def no_problem(spec):
+        raise AssertionError("make_problem ran before the dataset check")
+
+    monkeypatch.setattr(simulator, "make_problem", no_problem)
+    dim = 10**5
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # the design and the SVD's copies: 320 GB at 10^5 samples, and always past physical memory
+    n_samples = max(10**5, physical // (simulator.DESIGN_COPIES * 8 * dim) + 1)
+    config = RunConfig(problem=ProblemSpec(kind="lin_reg", dim=dim, n_samples=n_samples), steps=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^n_samples: .*design matrix"):
+            run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_a_fleet_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
@@ -604,4 +625,58 @@ def test_a_fleet_wider_than_one_gather_is_stacked_in_groups(monkeypatch):
     stacked, by_rows, sizes = run_stacked_and_row_by_row(monkeypatch, config)
     # storm evaluates each group at x_t and at x_prev before the next group
     assert sizes == [group, group, n - group, n - group] * (config.steps - 1)
+    assert trace_bytes(stacked) == trace_bytes(by_rows)
+
+
+# ---------------------------------------------------------------------------
+# the stacked worker compress
+
+
+def run_stacked_and_compressed_by_rows(monkeypatch, config):
+    """(trace, the same run with each stacked compress answered row by row, stack sizes seen)."""
+    sizes, by_rows = [], []
+    original = simulator.compress
+
+    def compress(x, spec, step=0, node_id=0, out=None):
+        if np.ndim(x) == 1:
+            return original(x, spec, step, node_id, out)
+        if not by_rows:
+            sizes.append(len(x))
+            return original(x, spec, step, node_id, out)
+        for j, row in enumerate(x):
+            original(row, spec, step, node_id + j, out=(out[0][j], out[1][j]))
+        return CompressionResult(*out)
+
+    monkeypatch.setattr(simulator, "compress", compress)
+    stacked = run(config)
+    by_rows.append(True)
+    return stacked, run(config), sizes
+
+
+COMPRESSORS = [CompressorSpec("one_bit"), CompressorSpec("top_k", k=3),
+               CompressorSpec("rand_k", k=3), CompressorSpec("stoch_quant", levels=2),
+               CompressorSpec("identity")]
+
+
+@pytest.mark.parametrize("compressor", COMPRESSORS, ids=lambda c: c.kind)
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+@pytest.mark.parametrize("topology", ["double_compression", "single_round", "single_worker"])
+@pytest.mark.parametrize("kind", ["lin_reg", "quadratic"])
+def test_stacked_compression_matches_the_row_by_row_run(
+    monkeypatch, kind, topology, scheme, compressor
+):
+    if kind == "quadratic":
+        spec = ProblemSpec(kind="quadratic", spectrum=tuple(np.linspace(0.5, 2.0, 8)))
+    else:
+        spec = ProblemSpec(kind="lin_reg", dim=8, n_samples=64, noise_std=0.1, batch_size=3,
+                           seed=3)
+    n = 1 if topology == "single_worker" else 3
+    config = RunConfig(problem=spec, estimator="storm",
+                       schedule=AlphaSchedule(kind="inverse_linear", c0=0.1),
+                       scheme=SchemeSpec(kind=scheme, beta=0.3), compressor=compressor,
+                       topology=topology, n_workers=n, steps=10, gamma=0.05, b0=2, seed=7,
+                       record_history=True)
+    stacked, by_rows, sizes = run_stacked_and_compressed_by_rows(monkeypatch, config)
+    # one worker call of n rows per step; the server's broadcast stays one (d,) call
+    assert sizes == [n] * (config.steps - 1)
     assert trace_bytes(stacked) == trace_bytes(by_rows)
