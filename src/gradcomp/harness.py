@@ -79,7 +79,7 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +102,7 @@ DEFAULT_BETA = 0.3
 FIGURE1_PROBLEM = ProblemSpec(
     kind="lin_reg", dim=20, n_samples=512, noise_std=0.1, condition=10.0, batch_size=1, seed=3
 )
-VERIFY_PROBLEM = dataclasses.replace(FIGURE1_PROBLEM, dim=10, n_samples=64)
+VERIFY_PROBLEM = replace(FIGURE1_PROBLEM, dim=10, n_samples=64)
 
 CSV_COLUMNS = (
     "step",
@@ -117,26 +117,6 @@ CSV_COLUMNS = (
 
 # ---------------------------------------------------------------------------
 # config decoding / encoding
-
-# The harness's own defaults for a run section, where they differ from the
-# dataclasses' or where a dataclass has none: the small linear-regression
-# benchmark used throughout, and a constant alpha of 0.1.
-CONFIG_DEFAULTS = {
-    RunConfig: {
-        "problem": {
-            "kind": "lin_reg",
-            "dim": 20,
-            "n_samples": 512,
-            "noise_std": 0.1,
-            "condition": 10.0,
-            "batch_size": 1,
-            "seed": 0,
-        },
-        "schedule": {"kind": "constant", "alpha": 0.1},
-    },
-    ProblemSpec: {"kind": "lin_reg"},
-    CompressorSpec: {"kind": "identity"},
-}
 
 
 @dataclass(frozen=True)
@@ -229,6 +209,19 @@ def encode(spec) -> dict:
     return out
 
 
+# The harness's own defaults for a run section, where they differ from the
+# dataclasses' or where a dataclass has none: the figure-1 problem with seed
+# 0, and a constant alpha of 0.1.
+CONFIG_DEFAULTS = {
+    RunConfig: {
+        "problem": encode(replace(FIGURE1_PROBLEM, seed=0)),
+        "schedule": {"kind": "constant", "alpha": 0.1},
+    },
+    ProblemSpec: {"kind": "lin_reg"},
+    CompressorSpec: {"kind": "identity"},
+}
+
+
 def parse_run_config(value, path: str = "run") -> RunConfig:
     return decode(RunConfig, value, path)
 
@@ -272,22 +265,14 @@ def _fmt(value: float) -> str:
 def write_metrics_csv(trace: RunTrace, path, ghost_residual_norm=None) -> None:
     """One row per recorded step; 17 significant digits for reproducibility."""
     columns = list(CSV_COLUMNS)
+    floats = [getattr(trace, name) for name in columns[1:-1]]
     if ghost_residual_norm is not None:
-        columns.insert(columns.index("cum_bits"), "ghost_residual_norm")
+        columns.insert(-1, "ghost_residual_norm")
+        floats.append(ghost_residual_norm)
     lines = [",".join(columns)]
     for i in range(trace.steps.size):
-        row = [
-            str(int(trace.steps[i])),
-            _fmt(trace.loss[i]),
-            _fmt(trace.grad_norm_sq[i]),
-            _fmt(trace.v_norm[i]),
-            _fmt(trace.worker_delta_norm[i]),
-            _fmt(trace.server_delta_norm[i]),
-        ]
-        if ghost_residual_norm is not None:
-            row.append(_fmt(ghost_residual_norm[i]))
-        row.append(str(int(trace.cum_bits[i])))
-        lines.append(",".join(row))
+        row = [str(int(trace.steps[i])), *(_fmt(column[i]) for column in floats)]
+        lines.append(",".join([*row, str(int(trace.cum_bits[i]))]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -339,9 +324,9 @@ def _configure(mapping, path: str, seed: int | None, record_ghost: bool = False)
     """Decode one run and apply the --seed and --record-ghost overrides."""
     config = parse_run_config(mapping, path)
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+        config = replace(config, seed=seed)
     if record_ghost:
-        config = dataclasses.replace(config, record_history=True)
+        config = replace(config, record_history=True)
     return config
 
 
@@ -490,6 +475,20 @@ class _Checker:
 def verify_suite(seed: int = 9) -> tuple[bool, str]:
     """Self-contained oracle checks; returns (all_passed, report text)."""
     checker = _Checker()
+    base = RunConfig(
+        problem=VERIFY_PROBLEM,
+        estimator="momentum",
+        compressor=CompressorSpec("one_bit"),
+        n_workers=4,
+        gamma=0.01,
+        b0=4,
+        seed=seed,
+        record_history=True,
+    )
+
+    def config(scheme: str, alpha: float, beta: float = 1.0, **changes) -> RunConfig:
+        schedule = AlphaSchedule("constant", alpha=alpha)
+        return replace(base, schedule=schedule, scheme=SchemeSpec(scheme, beta=beta), **changes)
 
     # Closed-form residual identity across schemes, alphas, fleet sizes.
     resolved_signs = set()
@@ -498,21 +497,10 @@ def verify_suite(seed: int = 9) -> tuple[bool, str]:
         for scheme_kind in ("none", "single", "two_step"):
             for n in (1, 4):
                 for comp in ("one_bit", "top_k"):
-                    config = RunConfig(
-                        problem=VERIFY_PROBLEM,
-                        estimator="momentum",
-                        schedule=AlphaSchedule("constant", alpha=alpha_val),
-                        scheme=SchemeSpec(scheme_kind, beta=1.0),
-                        compressor=CompressorSpec(comp, k=3),
-                        n_workers=n,
-                        steps=200,
-                        gamma=0.01,
-                        b0=4,
-                        seed=seed,
-                        record_history=True,
-                    )
+                    cell = config(scheme_kind, alpha_val, compressor=CompressorSpec(comp, k=3),
+                                  n_workers=n, steps=200)
                     try:
-                        report = verify_residual_identity(run(config))
+                        report = verify_residual_identity(run(cell))
                     except VerificationError as exc:
                         checker.check(
                             f"residual_identity[{scheme_kind},a={alpha_val},n={n},{comp}]",
@@ -539,20 +527,9 @@ def verify_suite(seed: int = 9) -> tuple[bool, str]:
     # Residual-sum ordering across schemes on a shared-seed triplet.
     traces = {}
     for scheme_kind in ("two_step", "single", "none"):
-        config = RunConfig(
-            problem=FIGURE1_PROBLEM,
-            estimator="momentum",
-            schedule=AlphaSchedule("constant", alpha=0.05),
-            scheme=SchemeSpec(scheme_kind, beta=1.0),
-            compressor=CompressorSpec("one_bit"),
-            n_workers=4,
-            steps=2000,
-            gamma=1e-3,
-            b0=4,
-            seed=seed,
-            record_history=True,
+        trace, diverged_at = execute_run(
+            config(scheme_kind, 0.05, problem=FIGURE1_PROBLEM, steps=2000, gamma=1e-3)
         )
-        trace, diverged_at = execute_run(config)
         traces[scheme_kind] = None if diverged_at is not None else trace
     comparison = residual_sum_comparison(traces)
     checker.check(
@@ -574,22 +551,7 @@ def verify_suite(seed: int = 9) -> tuple[bool, str]:
     )
 
     # alpha = 1 collapse: two_step and single coincide bitwise.
-    collapse = {}
-    for scheme_kind in ("single", "two_step"):
-        config = RunConfig(
-            problem=VERIFY_PROBLEM,
-            estimator="momentum",
-            schedule=AlphaSchedule("constant", alpha=1.0),
-            scheme=SchemeSpec(scheme_kind, beta=0.3),
-            compressor=CompressorSpec("one_bit"),
-            n_workers=4,
-            steps=100,
-            gamma=0.01,
-            b0=4,
-            seed=seed,
-            record_history=True,
-        )
-        collapse[scheme_kind] = run(config)
+    collapse = {kind: run(config(kind, 1.0, beta=0.3, steps=100)) for kind in ("single", "two_step")}
     same = np.array_equal(collapse["single"].history.x, collapse["two_step"].history.x) and np.array_equal(
         collapse["single"].final_x, collapse["two_step"].final_x
     )
@@ -635,29 +597,22 @@ def figure1_experiment(
     the full message plumbing with the identity compressor, so its gap must
     sit at zero.
     """
+    base = RunConfig(
+        problem=problem, schedule=AlphaSchedule("inverse_t"), n_workers=8, steps=steps, b0=8, seed=seed
+    )
     variants = {
-        "uncompressed": {"scheme": SchemeSpec("none", beta=DEFAULT_BETA), "compressor": CompressorSpec("identity")},
-        "identity_control": {"scheme": SchemeSpec("two_step", beta=DEFAULT_BETA), "compressor": CompressorSpec("identity")},
-        "no_compensation": {"scheme": SchemeSpec("none", beta=DEFAULT_BETA), "compressor": CompressorSpec("one_bit")},
-        "single": {"scheme": SchemeSpec("single", beta=DEFAULT_BETA), "compressor": CompressorSpec("one_bit")},
-        "two_step": {"scheme": SchemeSpec("two_step", beta=DEFAULT_BETA), "compressor": CompressorSpec("one_bit")},
+        label: {"scheme": SchemeSpec(scheme, beta=DEFAULT_BETA), "compressor": CompressorSpec(codec)}
+        for label, scheme, codec in (
+            ("uncompressed", "none", "identity"),
+            ("identity_control", "two_step", "identity"),
+            ("no_compensation", "none", "one_bit"),
+            ("single", "single", "one_bit"),
+            ("two_step", "two_step", "one_bit"),
+        )
     }
 
     def one_run(estimator, parts, step_size):
-        config = RunConfig(
-            problem=problem,
-            estimator=estimator,
-            schedule=AlphaSchedule("inverse_t"),
-            scheme=parts["scheme"],
-            compressor=parts["compressor"],
-            topology="double_compression",
-            n_workers=8,
-            steps=steps,
-            gamma=step_size,
-            b0=8,
-            seed=seed,
-        )
-        return execute_run(config)
+        return execute_run(replace(base, estimator=estimator, gamma=step_size, **parts))
 
     summary: dict = {}
     for estimator in estimators:
