@@ -34,12 +34,16 @@ temporaries do not grow with m or d.  top_k, rand_k and stoch_quant
 compress the rows one after another.  Every kind reads a row in full, or
 one tile of it, before it writes that part of ``compressed``.  Both ways
 run the same float operations on every coordinate, so their results are
-bitwise equal.
+bitwise equal when the ``out`` buffers are C-contiguous.  With strided
+buffers a NaN can come out with another payload: stoch_quant takes its
+scale from ``np.abs(x, out=residual).max()``, and numpy's max returns the
+input's own NaN on a strided array but the default NaN on a contiguous one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +90,8 @@ class CompressorSpec:
             raise ConfigError(f"compressor k must be >= 1, got {self.k}")
         if self.kind == "stoch_quant" and self.levels < 1:
             raise ConfigError(f"stoch_quant levels must be >= 1, got {self.levels}")
+        if self.kind == "stoch_quant" and self.levels > sys.float_info.max:
+            raise ConfigError("integer too large for a float", "levels")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"compressor seed must be non-negative, got {self.seed}")
 

@@ -4,7 +4,18 @@ from __future__ import annotations
 
 
 class ConfigError(ValueError):
-    """Raised when a configuration value is missing, malformed, or out of range."""
+    """Raised when a configuration value is missing, malformed, or out of range.
+
+    field, if given, is the dotted path of the offending value below the
+    spec that raised the error (e.g. "compressor.k" for a RunConfig); the
+    message then reads "<field>: <reason>", and harness.decode prefixes the
+    spec's own path to field.
+    """
+
+    def __init__(self, reason: str, field: str | None = None):
+        super().__init__(f"{field}: {reason}" if field else reason)
+        self.reason = reason
+        self.field = field
 
 
 class EmptyTraceError(ValueError):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,8 @@ class AlphaSchedule:
             raise ConfigError(f"inverse_linear c0 must be positive, got {self.c0}")
         if self.kind == "power_two_thirds" and self.horizon < 1:
             raise ConfigError(f"power_two_thirds horizon must be >= 1, got {self.horizon}")
+        if self.kind == "power_two_thirds" and self.horizon > sys.float_info.max:
+            raise ConfigError("integer too large for a float", "horizon")
 
     def at(self, t: int) -> float:
         if t < -1:

@@ -63,10 +63,15 @@ prints it as ``config error: ...`` and exits 1.  A saved config.yaml holds
 only the fields that a spec's kind uses (the "kinds" metadata of its
 dataclass fields), so it decodes back to the same config.
 
+Every run a subcommand will make is decoded and checked against physical
+memory before it creates --out, so a config error leaves no output behind.
+
 Exit codes: 0 success, 1 usage error (an unknown, missing or malformed
 flag) or config error, 2 verification failure, 3 unexpected divergence (a
-run with compensation diverged; a "none"-scheme run diverging is the
-expected outcome and is only noted in the summary).
+run or compare variant with compensation diverged; a "none"-scheme run
+diverging is the expected outcome and is only noted in the summary).
+sweep records "diverged" for each cell in its summary and exits 0 whatever
+diverged: a grid is expected to hold step sizes that do.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import sys
@@ -89,9 +95,9 @@ from .compensation import SchemeSpec
 from .compression import CompressorSpec
 from .errors import ConfigError, DivergenceError, VerificationError
 from .estimators import AlphaSchedule
-from .oracle import ghost_run, residual_sum_comparison, verify_residual_identity
+from .oracle import ghost_gap_norms, residual_sum_comparison, verify_residual_identity
 from .problems import ProblemSpec
-from .simulator import RunConfig, RunTrace, run
+from .simulator import RunConfig, RunTrace, _check_run_fits, run
 
 # Search grids and reported-best defaults for the tuning knobs.
 GAMMA_GRID = (0.5, 0.1, 0.001)
@@ -153,7 +159,8 @@ def decode(cls, value, path: str):
     """Build the dataclass cls from a YAML mapping, checking every type strictly.
 
     Missing keys take CONFIG_DEFAULTS, then the dataclass defaults; unknown
-    keys are an error.  Every error names the dotted path of its field.
+    keys are an error.  Every error names the dotted path of its field: a
+    ConfigError the constructor raises for one field gets path prepended.
     """
     mapping = {**CONFIG_DEFAULTS.get(cls, {}), **_require_mapping(value, path)}
     hints = _type_hints(cls)
@@ -167,7 +174,7 @@ def decode(cls, value, path: str):
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(exc.reason, f"{path}.{exc.field}" if exc.field else path) from exc
 
 
 def _decode_value(hint, value, path: str):
@@ -271,8 +278,8 @@ def write_metrics_csv(trace: RunTrace, path, ghost_residual_norm=None) -> None:
         floats.append(ghost_residual_norm)
     lines = [",".join(columns)]
     for i in range(trace.steps.size):
-        row = [str(int(trace.steps[i])), *(_fmt(column[i]) for column in floats)]
-        lines.append(",".join([*row, str(int(trace.cum_bits[i]))]))
+        row = [str(int(trace.steps[i])), *(_fmt(column[i]) for column in floats), str(int(trace.cum_bits[i]))]
+        lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -321,12 +328,15 @@ def _section(config_mapping: dict, name: str) -> dict:
 
 
 def _configure(mapping, path: str, seed: int | None, record_ghost: bool = False) -> RunConfig:
-    """Decode one run and apply the --seed and --record-ghost overrides."""
+    """Decode one run, apply the --seed and --record-ghost overrides, and
+    check that its arrays fit in memory, so a subcommand rejects every run
+    before it writes anything."""
     config = parse_run_config(mapping, path)
     if seed is not None:
         config = replace(config, seed=seed)
     if record_ghost:
         config = replace(config, record_history=True)
+    _check_run_fits(config)
     return config
 
 
@@ -335,7 +345,7 @@ def _run_and_record(config: RunConfig, csv_path) -> tuple[RunTrace, int | None]:
     trace, diverged_at = execute_run(config)
     ghost_norms = None
     if config.record_history and trace.history is not None:
-        ghost_norms = np.linalg.norm(trace.history.x - ghost_run(trace).x_hat, axis=1)
+        ghost_norms = list(itertools.islice(ghost_gap_norms(trace), trace.t_effective))
     write_metrics_csv(trace, csv_path, ghost_norms)
     return trace, diverged_at
 
@@ -374,13 +384,16 @@ def cmd_compare(config_mapping: dict, out_dir: Path, seed: int | None, record_gh
             )
         printed[text] = label
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    unexpected = False
+    configs = {}
     for label, overrides in section.variants.items():
         path = f"compare.variants.{label}"
         merged = _deep_merge(section.base, _require_mapping(overrides, path))
-        config = _configure(merged, path, seed, record_ghost)
+        configs[label] = _configure(merged, path, seed, record_ghost)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = {}
+    unexpected = False
+    for label, config in configs.items():
         trace, diverged_at = _run_and_record(config, out_dir / f"metrics_{label}.csv")
         results[label] = (config, trace, diverged_at)
         if diverged_at is not None and config.scheme.kind != "none":
@@ -438,12 +451,14 @@ def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None, record_ghos
                 cells.append((f"gamma_{gamma:g}_c0_{c0:g}", overrides))
         else:
             cells.append((f"gamma_{gamma:g}", {"gamma": gamma}))
+    configs = {
+        label: _configure(_deep_merge(section.base, overrides), f"sweep.{label}", seed, record_ghost)
+        for label, overrides in cells
+    }
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
-    for label, overrides in cells:
-        merged = _deep_merge(section.base, overrides)
-        config = _configure(merged, f"sweep.{label}", seed, record_ghost)
+    for label, config in configs.items():
         trace, diverged_at = _run_and_record(config, out_dir / f"metrics_{label}.csv")
         summary[f"{label}.final_grad_norm_sq"] = trace.final_grad_norm_sq
         summary[f"{label}.diverged"] = diverged_at is not None

@@ -39,6 +39,7 @@ identity compressor makes the gap exactly zero.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -103,6 +104,20 @@ def _ghost_gaps(trace: RunTrace):
     for x_t, (_, x_hat) in zip(trace.history.x, walk):
         yield x_t - x_hat
     yield trace.final_x - next(walk)
+
+
+def ghost_gap_norms(trace: RunTrace):
+    """Yields ||x_t - xhat_t|| for every history row, then that of the final
+    iterates: the T + 1 row norms of GhostTrace.residuals(), with O(d) state.
+
+    Each norm is sqrt of the pairwise sum of the squared gap, which is what
+    np.linalg.norm(gaps, axis=1) computes for each row of a C-contiguous
+    stack, so the values match it bit for bit (a 1-d np.linalg.norm goes
+    through dot, whose sum differs).
+    """
+    _require_history(trace)
+    for gap in _ghost_gaps(trace):
+        yield math.sqrt(np.add.reduce(gap * gap))
 
 
 def ghost_run(trace: RunTrace) -> GhostTrace:
@@ -260,7 +275,8 @@ def residual_sum_comparison(traces: dict) -> SchemeComparison:
 
     traces maps scheme kind -> RunTrace (history recorded).  Entries whose
     runs diverged may be passed as None; they are reported as diverged and
-    skipped in the sums.
+    skipped in the sums.  Each run's gaps stream from ghost_gap_norms, so no
+    (T, d) array is built.
     """
     if not traces:
         raise ConfigError("need at least one trace to compare")
@@ -277,8 +293,7 @@ def residual_sum_comparison(traces: dict) -> SchemeComparison:
         diverged[kind] = False
         gamma = trace.config.gamma
         alpha = trace.config.schedule.at(1)
-        ghost = ghost_run(trace)
-        gaps = np.linalg.norm(ghost.residuals(), axis=1)
+        gaps = np.fromiter(ghost_gap_norms(trace), dtype=np.float64)
         sums[kind] = float(np.dot(gaps, gaps))
         per_step[kind] = float(gaps.max())
         eps[kind] = trace.eps_hat()

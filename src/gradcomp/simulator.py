@@ -168,6 +168,24 @@ class RunConfig:
             raise ConfigError(f"b0 must be >= 1, got {self.b0}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        dim = _dimension(self.problem)
+        for name in ("compressor", "server_compressor"):
+            spec = getattr(self, name)
+            if spec is not None and spec.kind in ("top_k", "rand_k") and spec.k > dim:
+                raise ConfigError(f"{spec.k} exceeds the problem's dimension {dim}", f"{name}.k")
+        if self.problem.n_samples and self.n_workers > self.problem.n_samples:
+            raise ConfigError(
+                f"cannot split {self.problem.n_samples} samples across {self.n_workers} workers",
+                "n_workers",
+            )
+        # alpha_t = 1/(1 + c0 t) is 0.0 once c0 t overflows.  The cap keeps t
+        # convertible to a float; a run of more than 2^53 steps fails
+        # _check_run_fits anyway.
+        last = min(self.steps - 1, 2**53)
+        if self.schedule.kind == "inverse_linear" and self.schedule.at(last) == 0.0:
+            raise ConfigError(
+                f"{self.schedule.c0} makes alpha_t underflow to 0.0 by step {last}", "schedule.c0"
+            )
 
     def resolved_compressors(self) -> tuple[CompressorSpec, CompressorSpec]:
         """Worker and server specs with unset seeds replaced by the run seed."""
@@ -414,6 +432,10 @@ class _Recorder:
         )
 
 
+def _dimension(spec: ProblemSpec) -> int:
+    return len(spec.spectrum) if spec.kind == "quadratic" else spec.dim
+
+
 def _check_run_fits(config: RunConfig) -> None:
     """Reject a run whose preallocated arrays would not fit in physical memory.
 
@@ -422,16 +444,19 @@ def _check_run_fits(config: RunConfig) -> None:
     (n + 1, d) arrays, and a run that records its history adds five
     (steps, d) arrays.  A dataset problem's design matrix is n_samples x d,
     and problems._designed_matrix holds DESIGN_COPIES such arrays at its
-    peak.  A long, wide or many-worker run, or a large dataset, would
-    otherwise fail (or swap) only after its problem was built.  The arrays
-    are added up in that order, and the error names the field whose arrays
-    push the total past physical memory: steps, n_workers, record_ghost or
-    n_samples.
+    peak.  A dataset's minibatches take at least n x batch_size int64
+    indices (one step of fleet_minibatches) plus one worker's gathered rows,
+    batch_size x d float64, the least any grad_at call gathers; a quadratic
+    gathers nothing.  A long, wide or many-worker run, a large dataset or a
+    wide minibatch would otherwise fail (or swap) only after its problem was
+    built.  The arrays are added up in that order, and the error names the
+    field whose arrays push the total past physical memory: steps,
+    n_workers, record_ghost, n_samples or batch_size.
     """
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     spec = config.problem
-    dim = len(spec.spectrum) if spec.kind == "quadratic" else spec.dim
-    n, steps = config.n_workers, config.steps
+    dim = _dimension(spec)
+    n, steps, batch = config.n_workers, config.steps, spec.batch_size
     arrays = [
         ("steps", len(METRIC_COLUMNS) * steps, f"the metric columns of {steps} steps"),
         ("n_workers", 4 * (n + 1) * dim, f"the fleet state of {n} workers at d={dim}"),
@@ -441,13 +466,16 @@ def _check_run_fits(config: RunConfig) -> None:
     if spec.n_samples:
         arrays.append(("n_samples", DESIGN_COPIES * spec.n_samples * dim,
                        f"the design matrix of {spec.n_samples} samples at d={dim}"))
+        arrays.append(("batch_size", n * batch + batch * dim,
+                       f"the minibatches of {n} workers x {batch} samples at d={dim}"))
     needed = 0
-    for name, floats, what in arrays:
-        needed += floats * np.dtype(np.float64).itemsize
+    for name, items, what in arrays:
+        needed += items * 8  # float64 or int64
         if needed > physical:
             raise ConfigError(
-                f"{name}: {what} brings the run to {needed / 2**30:.1f} GiB, more than "
-                f"the {physical / 2**30:.1f} GiB of physical memory"
+                f"{what} brings the run to {needed / 2**30:.1f} GiB, more than "
+                f"the {physical / 2**30:.1f} GiB of physical memory",
+                name,
             )
 
 

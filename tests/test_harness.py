@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from gradcomp import (
     run,
 )
 from gradcomp.harness import (
+    FIGURE1_PROBLEM,
+    GAMMA_GRID,
     encode,
     figure1_experiment,
     load_config_file,
@@ -138,11 +141,12 @@ def _number(low, high):
 
 
 @st.composite
-def compressor_mappings(draw):
+def compressor_mappings(draw, dim):
+    """A compressor for vectors of dimension dim (top_k and rand_k keep k <= dim)."""
     kind = draw(st.sampled_from(["one_bit", "top_k", "rand_k", "stoch_quant", "identity"]))
     mapping = {"kind": kind}
     if kind in ("top_k", "rand_k"):
-        mapping["k"] = draw(st.integers(1, 8))
+        mapping["k"] = draw(st.integers(1, dim))
     if kind == "rand_k":
         mapping["rescale"] = draw(st.booleans())
     if kind == "stoch_quant":
@@ -159,9 +163,11 @@ def run_mappings(draw):
     problem = {"kind": kind, "batch_size": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 9))}
     if kind == "quadratic":
         problem["spectrum"] = draw(st.lists(_number(0.0, 10.0), min_size=1, max_size=4))
+        dim, max_workers = len(problem["spectrum"]), 16
     else:
         dim = draw(st.integers(1, 8))
         problem.update(dim=dim, n_samples=dim + draw(st.integers(0, 50)), condition=draw(_number(1.0, 100.0)))
+        max_workers = min(16, problem["n_samples"])
         problem["noise_std" if kind == "lin_reg" else "l2_reg"] = draw(_number(0.0, 1.0))
     schedule = {"kind": draw(st.sampled_from(["constant", "inverse_t", "inverse_linear", "power_two_thirds"]))}
     if schedule["kind"] == "constant":
@@ -177,9 +183,9 @@ def run_mappings(draw):
         "schedule": schedule,
         "scheme": {"kind": draw(st.sampled_from(["none", "single", "two_step"])),
                    "beta": draw(st.floats(0.01, 1.0))},
-        "compressor": draw(compressor_mappings()),
+        "compressor": draw(compressor_mappings(dim)),
         "topology": topology,
-        "n_workers": 1 if topology == "single_worker" else draw(st.integers(1, 16)),
+        "n_workers": 1 if topology == "single_worker" else draw(st.integers(1, max_workers)),
         "steps": draw(st.integers(1, 10_000)),
         "gamma": draw(_number(0.0, 1.0)),
         "b0": draw(st.integers(1, 16)),
@@ -189,7 +195,7 @@ def run_mappings(draw):
         "record_ghost": draw(st.booleans()),
     }
     if draw(st.booleans()):
-        mapping["server_compressor"] = draw(compressor_mappings())
+        mapping["server_compressor"] = draw(compressor_mappings(dim))
     return mapping
 
 
@@ -477,6 +483,71 @@ def test_cli_rejects_a_run_whose_metric_columns_exceed_memory(tmp_path, monkeypa
     assert "Traceback" not in err
 
 
+BIG = 10**400  # an int no float can hold
+
+
+UNUSABLE = (  # (command, config text, dotted path the error names)
+    ("run", "run: {compressor: {kind: top_k, k: 21}}", "run.compressor.k"),
+    ("run", "run: {server_compressor: {kind: rand_k, k: 21}}", "run.server_compressor.k"),
+    ("run", "run: {steps: 10, schedule: {kind: inverse_linear, c0: 1.0e+308}}", "run.schedule.c0"),
+    ("run", f"run: {{compressor: {{kind: stoch_quant, levels: {BIG}}}}}", "run.compressor.levels"),
+    ("run", f"run: {{server_compressor: {{kind: stoch_quant, levels: {BIG}}}}}",
+     "run.server_compressor.levels"),
+    ("run", f"run: {{schedule: {{kind: power_two_thirds, horizon: {BIG}}}}}", "run.schedule.horizon"),
+    ("run", "run: {n_workers: 5, problem: {kind: lin_reg, dim: 2, n_samples: 4}}", "run.n_workers"),
+    ("run", "run: {problem: {kind: lin_reg, dim: 2, n_samples: 4, batch_size: 1000000000000000}}",
+     "batch_size"),
+    ("compare", "compare: {base: {steps: 2}, variants: {a: {}, b: {compressor: {kind: top_k, k: 21}}}}",
+     "compare.variants.b.compressor.k"),
+    ("sweep", "sweep: {base: {steps: 10}, gammas: [0.1], c0s: [0.5, 1.0e+308]}",
+     "sweep.gamma_0.1_c0_1e+308.schedule.c0"),
+)
+
+
+@pytest.mark.parametrize("command, text, path", UNUSABLE, ids=[case[2] for case in UNUSABLE])
+def test_cli_rejects_unusable_values_before_any_output(tmp_path, capsys, command, text, path):
+    """Values no run can use fail by field before --out exists, instead of
+    mid-run, with an unnamed error or a traceback, after it was created."""
+    config = write_config(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_the_ghost_column_streams_the_gap_norms(tmp_path, monkeypatch):
+    """The ghost column holds O(d) state on top of the run: at T = 64 and
+    d = 4096 one (T, d) float64 array is 2 MiB, and writing the CSV must
+    stay far below it.  Its bytes are those of the (T, d) computation."""
+    dim, steps = 4096, 64
+    config = RunConfig(
+        problem=ProblemSpec(kind="quadratic", spectrum=tuple(np.geomspace(1.0, 0.01, dim))),
+        schedule=AlphaSchedule(kind="constant", alpha=0.5),
+        scheme=SchemeSpec(kind="single", beta=0.3),
+        compressor=CompressorSpec("one_bit"),
+        n_workers=2,
+        steps=steps,
+        gamma=0.1,
+        record_history=True,
+    )
+    trace = run(config)
+    monkeypatch.setattr(harness, "execute_run", lambda config: (trace, None))
+    tracemalloc.start()
+    try:
+        harness._run_and_record(config, tmp_path / "streamed.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trace.history.x.nbytes / 8, (peak, trace.history.x.nbytes)
+
+    full = np.linalg.norm(trace.history.x - gradcomp.ghost_run(trace).x_hat, axis=1)
+    assert full[1:].max() > 0.0
+    write_metrics_csv(trace, tmp_path / "full.csv", full)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
 def test_cli_divergence_exit_codes(tmp_path):
     unexpected = write_config(tmp_path, DIVERGING_RUN % "single", name="single.yaml")
     code = main(["run", "--config", unexpected, "--out", str(tmp_path / "u")])
@@ -500,6 +571,22 @@ def test_cli_verify_maps_outcomes_to_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "verify_suite", lambda seed=9: (False, "stub FAIL\n"))
     assert main(["verify"]) == 2
     capsys.readouterr()
+
+
+def test_verify_suite_passes_every_check():
+    """The real suite, not a stub.  Its {:.3e} error digits are BLAS rounding
+    noise, so only the line names and marks are pinned."""
+    ok, report = harness.verify_suite()
+    assert ok
+    assert [line.split(" ")[:2] for line in report.splitlines()] == [
+        ["residual_identity_grid", "PASS"],
+        ["c2_sign_resolution", "PASS"],
+        ["residual_sum_ordering", "PASS"],
+        ["ecx_per_step_bound", "PASS"],
+        ["ecx_sum_bound", "INFO"],
+        ["alpha1_collapse", "PASS"],
+        ["checks_failed", "0"],
+    ]
 
 
 def test_cli_compare_reports_gaps(tmp_path, capsys):
@@ -678,6 +765,64 @@ def test_figure_experiment_structure():
     control = block["identity_control"]
     assert not control["diverged"]
     assert abs(control["log10_grad_gap"]) < 1e-9
+
+
+FIGURE1_VARIANTS = (  # (scheme, compressor) of each variant, in run order
+    ("none", "identity"),
+    ("two_step", "identity"),
+    ("none", "one_bit"),
+    ("single", "one_bit"),
+    ("two_step", "one_bit"),
+)
+
+
+def figure1_config(problem, estimator, scheme, compressor, steps, gamma, seed):
+    """A figure-1 run's config, every field written out."""
+    return RunConfig(
+        problem=problem,
+        estimator=estimator,
+        schedule=AlphaSchedule(kind="inverse_t"),
+        scheme=SchemeSpec(kind=scheme, beta=0.3),
+        compressor=CompressorSpec(kind=compressor),
+        server_compressor=None,
+        topology="double_compression",
+        n_workers=8,
+        steps=steps,
+        gamma=gamma,
+        b0=8,
+        seed=seed,
+        heterogeneity=0.0,
+        x0_scale=1.0,
+        record_history=False,
+    )
+
+
+def test_figure_experiment_runs_the_configs_written_out(monkeypatch):
+    """The bench's fig1-cell call, then a grid-searched call, run exactly
+    these configs in this order."""
+    calls = []
+    execute_run = harness.execute_run
+    monkeypatch.setattr(harness, "execute_run", lambda config: calls.append(config) or execute_run(config))
+
+    harness.figure1_experiment(estimators=("storm", "igt"), steps=300, gamma=0.1, seed=11)
+    assert calls == [
+        figure1_config(FIGURE1_PROBLEM, estimator, scheme, compressor, 300, 0.1, 11)
+        for estimator in ("storm", "igt")
+        for scheme, compressor in FIGURE1_VARIANTS
+    ]
+
+    calls.clear()
+    problem = ProblemSpec(
+        kind="lin_reg", dim=6, n_samples=48, noise_std=0.1, condition=10.0, batch_size=1, seed=3
+    )
+    summary = harness.figure1_experiment(estimators=("momentum",), steps=20, seed=1, problem=problem)
+    tuned = summary["momentum"]["tuned_gamma"]
+    assert calls == [
+        figure1_config(problem, "momentum", "none", "identity", 20, gamma, 1) for gamma in GAMMA_GRID
+    ] + [
+        figure1_config(problem, "momentum", scheme, compressor, 20, tuned, 1)
+        for scheme, compressor in FIGURE1_VARIANTS[1:]
+    ]
 
 
 def test_figure_experiment_reports_a_diverged_grid_without_a_trace():

@@ -241,6 +241,25 @@ def test_residual_identity_holds_over_ten_thousand_steps():
     assert report.max_rel_error <= 1e-9
 
 
+@pytest.mark.parametrize("dim, steps", [(1, 40), (7, 40), (20, 40), (256, 40), (5000, 20), (70_001, 6)])
+def test_streamed_gap_norms_equal_the_row_norms_of_the_residuals(dim, steps):
+    """ghost_gap_norms yields the bits np.linalg.norm(residuals, axis=1) gives.
+
+    At d = 1 one_bit is exact, so every gap is zero there.
+    """
+    trace = quadratic_run(dim=dim, steps=steps, scheme=SchemeSpec(kind="single", beta=0.3))
+    expected = np.linalg.norm(ghost_run(trace).residuals(), axis=1)
+    streamed = np.fromiter(oracle.ghost_gap_norms(trace), dtype=np.float64)
+    assert dim == 1 or expected[1:].max() > 0.0
+    assert streamed.tobytes() == expected.tobytes()
+
+
+def test_streamed_gap_norms_need_a_recorded_history():
+    trace = run(RunConfig(problem=LIN, steps=5, record_history=False))
+    with pytest.raises(ConfigError):
+        next(oracle.ghost_gap_norms(trace))
+
+
 def test_identity_check_never_holds_a_step_by_dimension_array():
     """The check keeps O(d) state: at T = d = 2000 one (T, d) array of
     float64 is 32 MB, and the whole check must stay far below that."""

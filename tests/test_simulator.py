@@ -371,6 +371,50 @@ def test_a_dataset_larger_than_physical_memory_is_rejected_before_allocating(mon
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"compressor": CompressorSpec("top_k", k=9)}, "compressor.k"),
+        ({"server_compressor": CompressorSpec("rand_k", k=9)}, "server_compressor.k"),
+        ({"n_workers": 65}, "n_workers"),
+        ({"schedule": AlphaSchedule("inverse_linear", c0=1e308), "steps": 3}, "schedule.c0"),
+    ],
+)
+def test_values_no_step_can_use_are_rejected_by_field(changes, field):
+    """k past the dimension, more workers than samples, or an alpha_t that
+    underflows to 0.0 before the last step would fail only mid-run."""
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(problem=LIN, **changes)
+    assert excinfo.value.field == field
+    assert str(excinfo.value).startswith(f"{field}: ")
+
+
+def test_a_minibatch_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
+    def no_problem(spec):
+        raise AssertionError("make_problem ran before the minibatch check")
+
+    monkeypatch.setattr(simulator, "make_problem", no_problem)
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # n x batch int64 indices plus batch x d gathered floats: 56 TB at 10^12, and always past physical memory
+    batch = max(10**12, physical // 8 + 1)
+    config = RunConfig(problem=dataclasses.replace(LIN, batch_size=batch), n_workers=3, steps=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^batch_size: .*minibatches"):
+            run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_quadratic_gathers_no_minibatch():
+    """A quadratic ignores its batch size, so no batch size makes its run too large."""
+    spec = ProblemSpec(kind="quadratic", spectrum=(1.0, 2.0), batch_size=10**15)
+    trace = run(RunConfig(problem=spec, n_workers=2, steps=3))
+    assert trace.t_effective == 3
+
+
 def test_a_fleet_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
     def no_problem(spec):
         raise AssertionError("make_problem ran before the fleet check")
