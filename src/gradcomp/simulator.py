@@ -472,8 +472,10 @@ def _check_run_fits(config: RunConfig) -> None:
     for name, items, what in arrays:
         needed += items * 8  # float64 or int64
         if needed > physical:
+            # An int past about 2^1054 has no float quotient.
+            gib = needed / 2**30 if needed < 2**1000 else math.inf
             raise ConfigError(
-                f"{what} brings the run to {needed / 2**30:.1f} GiB, more than "
+                f"{what} brings the run to {gib:.1f} GiB, more than "
                 f"the {physical / 2**30:.1f} GiB of physical memory",
                 name,
             )

@@ -497,6 +497,7 @@ UNUSABLE = (  # (command, config text, dotted path the error names)
     ("run", "run: {n_workers: 5, problem: {kind: lin_reg, dim: 2, n_samples: 4}}", "run.n_workers"),
     ("run", "run: {problem: {kind: lin_reg, dim: 2, n_samples: 4, batch_size: 1000000000000000}}",
      "batch_size"),
+    ("run", f"run: {{steps: {BIG}}}", "steps"),
     ("compare", "compare: {base: {steps: 2}, variants: {a: {}, b: {compressor: {kind: top_k, k: 21}}}}",
      "compare.variants.b.compressor.k"),
     ("sweep", "sweep: {base: {steps: 10}, gammas: [0.1], c0s: [0.5, 1.0e+308]}",
