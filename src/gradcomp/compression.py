@@ -24,20 +24,17 @@ them.  Row j of a stack is the message of node node_id + j, and it comes out
 with the bits a lone call on that row with node_id + j gives, random draws
 included.  Without ``out``, compress returns two new arrays of x's shape.
 With ``out=(compressed, residual)`` it writes the pair into the caller's
-float64 buffers of x's shape and returns them; ``compressed`` may be the
-input itself, so a fleet's messages can be compressed in place, but
-``residual`` must share no memory with either.  identity and one_bit work on
-the whole stack at once: one_bit sums every row's magnitudes in one
-reduction over the row axis (each row in the pairwise order of a lone sum)
-and signs the stack in tiles of at most SIGN_TILE elements, so its
-temporaries do not grow with m or d.  top_k, rand_k and stoch_quant
-compress the rows one after another.  Every kind reads a row in full, or
-one tile of it, before it writes that part of ``compressed``.  Both ways
-run the same float operations on every coordinate, so their results are
-bitwise equal when the ``out`` buffers are C-contiguous.  With strided
-buffers a NaN can come out with another payload: stoch_quant takes its
-scale from ``np.abs(x, out=residual).max()``, and numpy's max returns the
-input's own NaN on a strided array but the default NaN on a contiguous one.
+C-contiguous float64 buffers of x's shape and returns them, and rejects any
+other buffer with a ConfigError; ``compressed`` may be the input itself, so
+a fleet's messages can be compressed in place, but ``residual`` must share
+no memory with either.  identity and one_bit work on the whole stack at
+once: one_bit sums every row's magnitudes in one reduction over the row
+axis (each row in the pairwise order of a lone sum) and signs the stack in
+tiles of at most SIGN_TILE elements, so its temporaries do not grow with m
+or d.  top_k, rand_k and stoch_quant compress the rows one after another.
+Every kind reads a row in full, or one tile of it, before it writes that
+part of ``compressed``.  Both ways run the same float operations on every
+coordinate, so their results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -217,10 +214,13 @@ def compress(
         compressed, residual = np.empty(x.shape), np.empty(x.shape)
     else:
         compressed, residual = out
-        if not (compressed.shape == residual.shape == x.shape) or not (
-            compressed.dtype == residual.dtype == _FLOAT64
+        if not (
+            compressed.shape == residual.shape == x.shape
+            and compressed.dtype == residual.dtype == _FLOAT64
+            and compressed.flags.c_contiguous
+            and residual.flags.c_contiguous
         ):
-            raise ConfigError(f"compress out buffers must be {x.shape} float64 arrays")
+            raise ConfigError(f"compress out buffers must be C-contiguous {x.shape} float64 arrays")
 
     # (m, d) views of all three; a (d,) vector is a stack of one row.
     xs, cs, rs = x, compressed, residual
@@ -233,12 +233,8 @@ def compress(
     elif spec.kind == "one_bit":
         np.abs(xs, out=rs)
         # A reduction over the last axis of a C-contiguous stack sums each
-        # row pairwise, as a lone row's sum does; other layouts go row by row.
-        if rs.flags.c_contiguous:
-            sums = rs.sum(axis=1, keepdims=True)
-        else:
-            sums = np.array([[row.sum()] for row in rs])
-        scale = sums / d
+        # row pairwise, as a lone row's sum does.
+        scale = rs.sum(axis=1, keepdims=True) / d
         # Tiles of at most SIGN_TILE elements: blocks of whole rows, or
         # slices of one row when a row is wider than a tile.
         if d <= SIGN_TILE:

@@ -63,8 +63,9 @@ prints it as ``config error: ...`` and exits 1.  A saved config.yaml holds
 only the fields that a spec's kind uses (the "kinds" metadata of its
 dataclass fields), so it decodes back to the same config.
 
-Every run a subcommand will make is decoded and checked against physical
-memory before it creates --out, so a config error leaves no output behind.
+Each spec checks its own values when it is built, RunConfig its memory
+bound too, and a subcommand decodes every run it will make before it
+creates --out, so a config error leaves no output behind.
 
 Exit codes: 0 success, 1 usage error (an unknown, missing or malformed
 flag) or config error, 2 verification failure, 3 unexpected divergence (a
@@ -97,7 +98,7 @@ from .errors import ConfigError, DivergenceError, VerificationError
 from .estimators import AlphaSchedule
 from .oracle import ghost_gap_norms, residual_sum_comparison, verify_residual_identity
 from .problems import ProblemSpec
-from .simulator import RunConfig, RunTrace, _check_run_fits, run
+from .simulator import RunConfig, RunTrace, run
 
 # Search grids and reported-best defaults for the tuning knobs.
 GAMMA_GRID = (0.5, 0.1, 0.001)
@@ -132,6 +133,26 @@ class CompareSection:
     variants: dict = field(default_factory=dict)
     base: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not self.variants:
+            raise ConfigError("need at least one variant", "variants")
+        # A label's str() names the variant's metrics file and summary keys.
+        printed: dict = {}
+        for label, overrides in self.variants.items():
+            text = str(label)
+            if any(sep and sep in text for sep in ("/", os.sep, os.altsep, "\0")):
+                raise ConfigError("a label cannot hold a path separator or NUL", f"variants.{label}")
+            if text in printed:
+                raise ConfigError(
+                    f"the labels {printed[text]!r} and {label!r} would share metrics_{text}.csv",
+                    f"variants.{label}",
+                )
+            printed[text] = label
+            if not isinstance(overrides, dict):
+                raise ConfigError(
+                    f"expected a mapping, got {type(overrides).__name__}", f"variants.{label}"
+                )
+
 
 @dataclass(frozen=True)
 class SweepSection:
@@ -141,6 +162,21 @@ class SweepSection:
     gammas: tuple[float, ...] = GAMMA_GRID
     c0s: tuple[float, ...] | None = None
     alphas: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.c0s is not None and self.alphas is not None:
+            raise ConfigError("give either c0s or alphas, not both")
+        for axis in ("gammas", "alphas", "c0s"):
+            values = getattr(self, axis)
+            if values == ():
+                raise ConfigError("need at least one value", axis)
+            # Cell labels print each value with :g, and a label names the cell's outputs.
+            labels: dict = {}
+            for value in values or ():
+                text = f"{value:g}"
+                if text in labels:
+                    raise ConfigError(f"{labels[text]!r} and {value!r} share the cell label {text}", axis)
+                labels[text] = value
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -328,16 +364,14 @@ def _section(config_mapping: dict, name: str) -> dict:
 
 
 def _configure(mapping, path: str, seed: int | None, record_ghost: bool = False) -> RunConfig:
-    """Decode one run, apply the --seed and --record-ghost overrides, and
-    check that its arrays fit in memory, so a subcommand rejects every run
-    before it writes anything."""
+    """Decode one run as the file gives it, then with the --seed and
+    --record-ghost overrides, so that a value an override replaces is still
+    checked; decode names every rejected value by its dotted path."""
     config = parse_run_config(mapping, path)
-    if seed is not None:
-        config = replace(config, seed=seed)
+    overrides = {} if seed is None else {"seed": seed}
     if record_ghost:
-        config = replace(config, record_history=True)
-    _check_run_fits(config)
-    return config
+        overrides["record_ghost"] = True
+    return parse_run_config({**mapping, **overrides}, path) if overrides else config
 
 
 def _run_and_record(config: RunConfig, csv_path) -> tuple[RunTrace, int | None]:
@@ -367,28 +401,12 @@ def cmd_run(config_mapping: dict, out_dir: Path, seed: int | None, record_ghost:
 
 def cmd_compare(config_mapping: dict, out_dir: Path, seed: int | None, record_ghost: bool) -> int:
     section = decode(CompareSection, _section(config_mapping, "compare"), "compare")
-    if not section.variants:
-        raise ConfigError("compare.variants: need at least one variant")
-    # A label's str() names the variant's metrics file and summary keys.
-    printed: dict = {}
-    for label in section.variants:
-        text = str(label)
-        if any(sep and sep in text for sep in ("/", os.sep, os.altsep, "\0")):
-            raise ConfigError(
-                f"compare.variants.{label}: a label cannot hold a path separator or NUL"
-            )
-        if text in printed:
-            raise ConfigError(
-                f"compare.variants.{label}: the labels {printed[text]!r} and {label!r} "
-                f"would share metrics_{text}.csv"
-            )
-        printed[text] = label
-
-    configs = {}
-    for label, overrides in section.variants.items():
-        path = f"compare.variants.{label}"
-        merged = _deep_merge(section.base, _require_mapping(overrides, path))
-        configs[label] = _configure(merged, path, seed, record_ghost)
+    configs = {
+        label: _configure(
+            _deep_merge(section.base, overrides), f"compare.variants.{label}", seed, record_ghost
+        )
+        for label, overrides in section.variants.items()
+    }
 
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
@@ -423,22 +441,6 @@ def cmd_compare(config_mapping: dict, out_dir: Path, seed: int | None, record_gh
 
 def cmd_sweep(config_mapping: dict, out_dir: Path, seed: int | None, record_ghost: bool) -> int:
     section = decode(SweepSection, _section(config_mapping, "sweep"), "sweep")
-    if section.c0s is not None and section.alphas is not None:
-        raise ConfigError("sweep: give either c0s or alphas, not both")
-    for axis in ("gammas", "alphas", "c0s"):
-        values = getattr(section, axis)
-        if values == ():
-            raise ConfigError(f"sweep.{axis}: need at least one value")
-        # Cell labels print each value with :g, and a label names the cell's outputs.
-        labels: dict = {}
-        for value in values or ():
-            text = f"{value:g}"
-            if text in labels:
-                raise ConfigError(
-                    f"sweep.{axis}: {labels[text]!r} and {value!r} share the cell label {text}"
-                )
-            labels[text] = value
-
     cells = []
     for gamma in section.gammas:
         if section.alphas is not None:

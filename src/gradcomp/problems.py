@@ -168,17 +168,8 @@ class Quadratic:
         """The full gradient, (d,) for indices of any shape: there is no data."""
         return self.full_grad(x)
 
-    def minimizer(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def f_star(self) -> float:
-        return 0.0
-
     def smoothness(self) -> float:
         return float(self.h.max())
-
-    def smoothness_per_sample(self) -> float:
-        return self.smoothness()
 
 
 def _weighted_row_mean(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -222,9 +213,6 @@ class _Dataset:
             self._memo = (key, value)
         return value
 
-    def smoothness_per_sample(self) -> float:
-        return float((self.x_mat * self.x_mat).sum(axis=1).max())
-
     def target(self) -> np.ndarray:
         return self.y
 
@@ -251,13 +239,6 @@ class LinearRegression(_Dataset):
         indices = np.asarray(indices)
         rows = self.x_mat[indices]
         return _weighted_row_mean(rows, rows @ x - self.y[indices])
-
-    def minimizer(self) -> np.ndarray:
-        sol, *_ = np.linalg.lstsq(self.x_mat, self.y, rcond=None)
-        return sol
-
-    def f_star(self) -> float:
-        return self.loss(self.minimizer())
 
     def smoothness(self) -> float:
         gram = self.x_mat.T @ self.x_mat / self.n_samples
@@ -301,9 +282,6 @@ class LogisticRegression(_Dataset):
     def smoothness(self) -> float:
         op = np.linalg.norm(self.x_mat, ord=2)
         return float(op * op / (4.0 * self.n_samples) + self.spec.l2_reg)
-
-    def smoothness_per_sample(self) -> float:
-        return super().smoothness_per_sample() / 4.0 + self.spec.l2_reg
 
 
 def make_problem(spec: ProblemSpec):

@@ -103,6 +103,7 @@ from .compensation import (
 )
 from .compression import FLOAT_BITS, CompressorSpec, compress, measured_epsilon, message_bits
 from .errors import ConfigError, DivergenceError
+from .estimators import KINDS as ESTIMATOR_KINDS
 from .estimators import AlphaSchedule, Estimator, fixed_order_mean, init_v0
 from .problems import (
     ProblemSpec,
@@ -132,7 +133,11 @@ METRIC_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; two runs with equal configs match bitwise."""
+    """Everything a run needs; two runs with equal configs match bitwise.
+
+    Construction checks every value and the memory bound (_check_run_fits);
+    a ConfigError names its field by a dotted path, e.g. "problem.batch_size".
+    """
 
     problem: ProblemSpec
     estimator: str = "momentum"
@@ -154,6 +159,18 @@ class RunConfig:
         for name in ("gamma", "heterogeneity", "x0_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.heterogeneity <= 1.0:
+            raise ConfigError(f"must be in [0, 1], got {self.heterogeneity}", "heterogeneity")
+        if self.estimator not in ESTIMATOR_KINDS:
+            raise ConfigError(
+                f"unknown estimator kind {self.estimator!r}, expected one of {ESTIMATOR_KINDS}",
+                "estimator",
+            )
+        # Estimator's own test: a schedule is more than its alpha_t (c0, horizon).
+        if self.estimator == "sgd" and not (
+            self.schedule.kind == "constant" and self.schedule.alpha == 1.0
+        ):
+            raise ConfigError("sgd runs with alpha fixed to 1; use momentum to average", "estimator")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}")
         if self.topology == "single_worker" and self.n_workers != 1:
@@ -186,6 +203,7 @@ class RunConfig:
             raise ConfigError(
                 f"{self.schedule.c0} makes alpha_t underflow to 0.0 by step {last}", "schedule.c0"
             )
+        _check_run_fits(self)
 
     def resolved_compressors(self) -> tuple[CompressorSpec, CompressorSpec]:
         """Worker and server specs with unset seeds replaced by the run seed."""
@@ -451,7 +469,7 @@ def _check_run_fits(config: RunConfig) -> None:
     wide minibatch would otherwise fail (or swap) only after its problem was
     built.  The arrays are added up in that order, and the error names the
     field whose arrays push the total past physical memory: steps,
-    n_workers, record_ghost, n_samples or batch_size.
+    n_workers, record_ghost, problem.n_samples or problem.batch_size.
     """
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     spec = config.problem
@@ -464,9 +482,9 @@ def _check_run_fits(config: RunConfig) -> None:
     if config.record_history:
         arrays.append(("record_ghost", 5 * steps * dim, f"the history of {steps} steps at d={dim}"))
     if spec.n_samples:
-        arrays.append(("n_samples", DESIGN_COPIES * spec.n_samples * dim,
+        arrays.append(("problem.n_samples", DESIGN_COPIES * spec.n_samples * dim,
                        f"the design matrix of {spec.n_samples} samples at d={dim}"))
-        arrays.append(("batch_size", n * batch + batch * dim,
+        arrays.append(("problem.batch_size", n * batch + batch * dim,
                        f"the minibatches of {n} workers x {batch} samples at d={dim}"))
     needed = 0
     for name, items, what in arrays:
@@ -508,7 +526,6 @@ def run(config: RunConfig) -> RunTrace:
     escapes; a run with scheme "none" under aggressive compression is
     expected to do so.
     """
-    _check_run_fits(config)
     problem, shards, grad = build_context(config)
     dim = problem.dim
     n = config.n_workers

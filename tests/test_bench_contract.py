@@ -29,8 +29,9 @@ def resolve(home: str, attr: str):
 
 
 ENTRY_POINTS = load_spans().ENTRY_POINTS
-# Wrapped outside ENTRY_POINTS: the sampler factory and the step timer.
-EXTRA = (("problems", "shard_sampler"), ("simulator", "run_step"))
+# Wrapped outside ENTRY_POINTS: the sampler factory and the step timer; and
+# execute_run, which the fig1-cell workload patches to capture its runs.
+EXTRA = (("problems", "shard_sampler"), ("simulator", "run_step"), ("harness", "execute_run"))
 
 
 @pytest.mark.parametrize(

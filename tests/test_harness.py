@@ -479,7 +479,7 @@ def test_cli_rejects_a_run_whose_metric_columns_exceed_memory(tmp_path, monkeypa
     config = write_config(tmp_path, text, name="long.yaml")
     assert main(["run", "--config", config, "--out", str(tmp_path / "long")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: steps:")
+    assert err.startswith("config error: run.steps:")
     assert "Traceback" not in err
 
 
@@ -496,12 +496,19 @@ UNUSABLE = (  # (command, config text, dotted path the error names)
     ("run", f"run: {{schedule: {{kind: power_two_thirds, horizon: {BIG}}}}}", "run.schedule.horizon"),
     ("run", "run: {n_workers: 5, problem: {kind: lin_reg, dim: 2, n_samples: 4}}", "run.n_workers"),
     ("run", "run: {problem: {kind: lin_reg, dim: 2, n_samples: 4, batch_size: 1000000000000000}}",
-     "batch_size"),
-    ("run", f"run: {{steps: {BIG}}}", "steps"),
+     "run.problem.batch_size"),
+    ("run", f"run: {{steps: {BIG}}}", "run.steps"),
+    ("run", "run: {heterogeneity: 2.0}", "run.heterogeneity"),
+    ("run", "run: {estimator: foo}", "run.estimator"),
+    # the CLI's default schedule is a constant alpha of 0.1, and sgd needs 1
+    ("run", "run: {estimator: sgd}", "run.estimator"),
     ("compare", "compare: {base: {steps: 2}, variants: {a: {}, b: {compressor: {kind: top_k, k: 21}}}}",
      "compare.variants.b.compressor.k"),
+    ("compare", "compare: {base: {steps: 2}, variants: {a: {}, b: {steps: 1000000000000}}}",
+     "compare.variants.b.steps"),
     ("sweep", "sweep: {base: {steps: 10}, gammas: [0.1], c0s: [0.5, 1.0e+308]}",
      "sweep.gamma_0.1_c0_1e+308.schedule.c0"),
+    ("sweep", "sweep: {base: {steps: 1000000000000}, gammas: [0.1]}", "sweep.gamma_0.1.steps"),
 )
 
 
@@ -516,6 +523,33 @@ def test_cli_rejects_unusable_values_before_any_output(tmp_path, capsys, command
     assert err.startswith(f"config error: {path}: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_checks_the_values_its_flags_override(tmp_path, capsys):
+    """--seed and --record-ghost replace a value of the file, but the file's
+    own value must still be one a run can take, and the run with the
+    overrides must still fit in memory; all before --out exists."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # metric columns of half the memory; the (steps, 64) history is 6.7 times it
+    steps = physical // (2 * 8 * len(simulator.METRIC_COLUMNS))
+    wide = f"{{steps: {steps}, problem: {{kind: quadratic, spectrum: {[1.0] * 64}}}}}"
+    cases = {  # config text -> (flags, the dotted path the error names)
+        "run: {seed: fast}": (["--seed", "3"], "run.seed"),
+        "run: {seed: 1.5}": (["--seed", "3"], "run.seed"),
+        "run: {seed: -1}": (["--seed", "3"], "run"),
+        "run: {record_ghost: yes please}": (["--record-ghost"], "run.record_ghost"),
+        f"run: {wide}": (["--record-ghost"], "run.record_ghost"),
+        f"compare: {{variants: {{a: {wide}}}}}": (["--record-ghost"], "compare.variants.a.record_ghost"),
+    }
+    for i, (text, (flags, path)) in enumerate(cases.items()):
+        config = write_config(tmp_path, text + "\n", name=f"flags{i}.yaml")
+        command = text.split(":")[0]
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", config, "--out", str(out), *flags]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: "), (text, err)
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_the_ghost_column_streams_the_gap_norms(tmp_path, monkeypatch):

@@ -20,9 +20,11 @@ from gradcomp import (
     CompressorSpec,
     ConfigError,
     DivergenceError,
+    Estimator,
     ProblemSpec,
     RunConfig,
     SchemeSpec,
+    harness,
     make_problem,
     run,
     scheme_coefficients,
@@ -298,6 +300,35 @@ def test_divergence_raises_with_the_partial_trace():
     assert np.linalg.norm(exc.trace.final_x) > 1e12
 
 
+@pytest.mark.parametrize("scheme", ["none", "two_step"])
+def test_storm_and_igt_coincide_on_lin_reg_only(scheme):
+    """A lin_reg minibatch gradient is affine in x, so STORM's
+    (g(x_t) - (1 - a) g(x_prev)) / a and IGT's g(x_t + (1 - a)/a (x_t - x_prev))
+    are one vector up to rounding; a log_reg gradient is not affine.  On the
+    figure-1 configuration the two therefore end at the same iterate on
+    lin_reg, and the figure's two estimator blocks run one recursion twice."""
+    base = RunConfig(
+        problem=harness.FIGURE1_PROBLEM,
+        schedule=AlphaSchedule("inverse_t"),
+        scheme=SchemeSpec(scheme, beta=harness.DEFAULT_BETA),
+        compressor=CompressorSpec("one_bit"),
+        n_workers=8,
+        steps=500,
+        gamma=0.1,
+        b0=8,
+        seed=9,
+    )
+    log_reg = ProblemSpec(kind="log_reg", dim=20, n_samples=512, l2_reg=0.01, seed=3)
+
+    def relative_gap(config):
+        storm = run(dataclasses.replace(config, estimator="storm")).final_x
+        igt = run(dataclasses.replace(config, estimator="igt")).final_x
+        return np.linalg.norm(storm - igt) / np.linalg.norm(storm)
+
+    assert relative_gap(base) <= 1e-9
+    assert relative_gap(dataclasses.replace(base, problem=log_reg)) >= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # buffer ownership and memory
 
@@ -343,12 +374,11 @@ def test_history_larger_than_physical_memory_is_rejected_up_front(monkeypatch):
 
     monkeypatch.setattr(simulator, "make_problem", no_dataset)
     spec = ProblemSpec(kind="lin_reg", dim=10**6, n_samples=10**6)
-    config = RunConfig(problem=spec, steps=10_000, record_history=True)
     with pytest.raises(ConfigError, match="record_ghost"):
-        run(config)
+        RunConfig(problem=spec, steps=10_000, record_history=True)
     # without the history the same config is still rejected, for its design matrix
-    with pytest.raises(ConfigError, match="^n_samples: "):
-        run(RunConfig(problem=spec, steps=10_000))
+    with pytest.raises(ConfigError, match="^problem.n_samples: "):
+        RunConfig(problem=spec, steps=10_000)
 
 
 def test_a_dataset_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
@@ -360,11 +390,10 @@ def test_a_dataset_larger_than_physical_memory_is_rejected_before_allocating(mon
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     # the design and the SVD's copies: 320 GB at 10^5 samples, and always past physical memory
     n_samples = max(10**5, physical // (simulator.DESIGN_COPIES * 8 * dim) + 1)
-    config = RunConfig(problem=ProblemSpec(kind="lin_reg", dim=dim, n_samples=n_samples), steps=2)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="^n_samples: .*design matrix"):
-            run(config)
+        with pytest.raises(ConfigError, match="^problem.n_samples: .*design matrix"):
+            RunConfig(problem=ProblemSpec(kind="lin_reg", dim=dim, n_samples=n_samples), steps=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,15 +407,42 @@ def test_a_dataset_larger_than_physical_memory_is_rejected_before_allocating(mon
         ({"server_compressor": CompressorSpec("rand_k", k=9)}, "server_compressor.k"),
         ({"n_workers": 65}, "n_workers"),
         ({"schedule": AlphaSchedule("inverse_linear", c0=1e308), "steps": 3}, "schedule.c0"),
+        ({"heterogeneity": 2.0}, "heterogeneity"),
+        ({"heterogeneity": -0.5}, "heterogeneity"),
+        ({"estimator": "foo"}, "estimator"),
+        ({"estimator": "sgd", "schedule": AlphaSchedule("constant", alpha=0.1)}, "estimator"),
     ],
 )
 def test_values_no_step_can_use_are_rejected_by_field(changes, field):
-    """k past the dimension, more workers than samples, or an alpha_t that
-    underflows to 0.0 before the last step would fail only mid-run."""
+    """k past the dimension, more workers than samples, an alpha_t that
+    underflows to 0.0 before the last step, a heterogeneity outside [0, 1]
+    or an estimator the run cannot build would fail only mid-run."""
     with pytest.raises(ConfigError) as excinfo:
         RunConfig(problem=LIN, **changes)
     assert excinfo.value.field == field
     assert str(excinfo.value).startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        AlphaSchedule(),
+        AlphaSchedule("constant", alpha=0.5),
+        AlphaSchedule("constant", alpha=1.0, c0=0.2, horizon=3),
+        AlphaSchedule("inverse_t"),
+        AlphaSchedule("power_two_thirds", horizon=1),
+    ],
+)
+def test_a_config_admits_sgd_exactly_when_its_estimator_does(schedule):
+    """power_two_thirds with horizon 1 has alpha_t = 1 but is not constant,
+    and c0 or horizon on a constant schedule play no part."""
+    try:
+        Estimator(kind="sgd", schedule=schedule)
+    except ConfigError:
+        with pytest.raises(ConfigError, match="^estimator: sgd"):
+            RunConfig(problem=LIN, estimator="sgd", schedule=schedule)
+    else:
+        RunConfig(problem=LIN, estimator="sgd", schedule=schedule)
 
 
 def test_a_minibatch_larger_than_physical_memory_is_rejected_before_allocating(monkeypatch):
@@ -397,11 +453,10 @@ def test_a_minibatch_larger_than_physical_memory_is_rejected_before_allocating(m
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     # n x batch int64 indices plus batch x d gathered floats: 56 TB at 10^12, and always past physical memory
     batch = max(10**12, physical // 8 + 1)
-    config = RunConfig(problem=dataclasses.replace(LIN, batch_size=batch), n_workers=3, steps=2)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="^batch_size: .*minibatches"):
-            run(config)
+        with pytest.raises(ConfigError, match="^problem.batch_size: .*minibatches"):
+            RunConfig(problem=dataclasses.replace(LIN, batch_size=batch), n_workers=3, steps=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,11 +479,11 @@ def test_a_fleet_larger_than_physical_memory_is_rejected_before_allocating(monke
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     # four (n + 1, d) float64 arrays: 32 GB at n = 10^5, and always past physical memory
     n = max(10**5, physical // (4 * 8 * dim) + 1)
-    config = RunConfig(problem=ProblemSpec(kind="quadratic", spectrum=(1.0,) * dim), n_workers=n)
+    spectrum = (1.0,) * dim
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="^n_workers: "):
-            run(config)
+            RunConfig(problem=ProblemSpec(kind="quadratic", spectrum=spectrum), n_workers=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
