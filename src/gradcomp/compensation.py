@@ -70,9 +70,9 @@ class SchemeSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown scheme kind {self.kind!r}, expected one of {KINDS}")
+            raise ConfigError(f"unknown scheme kind {self.kind!r}, expected one of {KINDS}", "kind")
         if not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
+            raise ConfigError(f"must be in (0, 1], got {self.beta}", "beta")
 
 
 @dataclass

@@ -82,15 +82,15 @@ class CompressorSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown compressor kind {self.kind!r}, expected one of {KINDS}")
+            raise ConfigError(f"unknown compressor kind {self.kind!r}, expected one of {KINDS}", "kind")
         if self.kind in ("top_k", "rand_k") and self.k < 1:
-            raise ConfigError(f"compressor k must be >= 1, got {self.k}")
+            raise ConfigError(f"must be >= 1, got {self.k}", "k")
         if self.kind == "stoch_quant" and self.levels < 1:
-            raise ConfigError(f"stoch_quant levels must be >= 1, got {self.levels}")
+            raise ConfigError(f"must be >= 1, got {self.levels}", "levels")
         if self.kind == "stoch_quant" and self.levels > sys.float_info.max:
             raise ConfigError("integer too large for a float", "levels")
         if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"compressor seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"must be non-negative, got {self.seed}", "seed")
 
 
 @dataclass(frozen=True)

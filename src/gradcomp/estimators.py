@@ -76,17 +76,17 @@ class AlphaSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(
-                f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}"
+                f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}", "kind"
             )
         for name in ("alpha", "c0"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"must be finite, got {getattr(self, name)}", name)
         if self.kind == "constant" and not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"constant alpha must be in (0, 1], got {self.alpha}")
+            raise ConfigError(f"must be in (0, 1], got {self.alpha}", "alpha")
         if self.kind == "inverse_linear" and self.c0 <= 0.0:
-            raise ConfigError(f"inverse_linear c0 must be positive, got {self.c0}")
+            raise ConfigError(f"must be positive, got {self.c0}", "c0")
         if self.kind == "power_two_thirds" and self.horizon < 1:
-            raise ConfigError(f"power_two_thirds horizon must be >= 1, got {self.horizon}")
+            raise ConfigError(f"must be >= 1, got {self.horizon}", "horizon")
         if self.kind == "power_two_thirds" and self.horizon > sys.float_info.max:
             raise ConfigError("integer too large for a float", "horizon")
 

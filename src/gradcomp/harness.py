@@ -7,8 +7,9 @@ reads:
     run | compare | sweep   --config FILE --out DIR [--seed N] [--record-ghost]
     verify                  [--out DIR] [--seed N]
 
---seed overrides every run's seed, and --record-ghost records each run's
-history and adds the ghost_residual_norm column to its metrics CSV.
+--seed overrides every run's seed (a negative or non-integer N is a usage
+error), and --record-ghost records each run's history and adds the
+ghost_residual_norm column to its metrics CSV.
 
 Config files are YAML with one top-level section named after the subcommand
 that consumes it:
@@ -195,7 +196,8 @@ def decode(cls, value, path: str):
     """Build the dataclass cls from a YAML mapping, checking every type strictly.
 
     Missing keys take CONFIG_DEFAULTS, then the dataclass defaults; unknown
-    keys are an error.  Every error names the dotted path of its field: a
+    keys are an error.  A field whose metadata key is None has no key, so it
+    keeps its default.  Every error names the dotted path of its field: a
     ConfigError the constructor raises for one field gets path prepended.
     """
     mapping = {**CONFIG_DEFAULTS.get(cls, {}), **_require_mapping(value, path)}
@@ -203,7 +205,7 @@ def decode(cls, value, path: str):
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = f.metadata.get("key", f.name)
-        if key in mapping:
+        if key is not None and key in mapping:
             kwargs[f.name] = _decode_value(hints[f.name], mapping.pop(key), f"{path}.{key}")
     if mapping:
         raise ConfigError(f"{path}: unknown field(s): {', '.join(sorted(map(str, mapping)))}")
@@ -238,17 +240,18 @@ def encode(spec) -> dict:
     """The YAML mapping of a spec dataclass, the inverse of decode.
 
     A field whose metadata lists "kinds" is written only for those kinds,
-    and a field that is None is left out.
+    and a field that is None, or whose metadata key is None, is left out.
     """
     out = {}
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
+        key = f.metadata.get("key", f.name)
         kinds = f.metadata.get("kinds")
-        if value is None or (kinds is not None and spec.kind not in kinds):
+        if value is None or key is None or (kinds is not None and spec.kind not in kinds):
             continue
         if dataclasses.is_dataclass(value):
             value = encode(value)
-        out[f.metadata.get("key", f.name)] = list(value) if isinstance(value, tuple) else value
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -306,7 +309,13 @@ def _fmt(value: float) -> str:
 
 
 def write_metrics_csv(trace: RunTrace, path, ghost_residual_norm=None) -> None:
-    """One row per recorded step; 17 significant digits for reproducibility."""
+    """One row per recorded step; 17 significant digits for reproducibility.
+
+    A trace run without record_objective has no loss or grad_norm_sq
+    column, and is refused rather than written with empty ones.
+    """
+    if trace.loss is None or trace.grad_norm_sq is None:
+        raise ConfigError("the trace has no loss or grad_norm_sq column to write", "record_objective")
     columns = list(CSV_COLUMNS)
     floats = [getattr(trace, name) for name in columns[1:-1]]
     if ghost_residual_norm is not None:
@@ -613,9 +622,15 @@ def figure1_experiment(
     identity_control variant differs from the control only in going through
     the full message plumbing with the identity compressor, so its gap must
     sit at zero.
+
+    The summary reads only each run's final values, so the runs record the
+    per-step loss and grad_norm_sq columns (record_objective) only when
+    out_dir is given and their CSVs are written; the summary is the same
+    either way.
     """
     base = RunConfig(
-        problem=problem, schedule=AlphaSchedule("inverse_t"), n_workers=8, steps=steps, b0=8, seed=seed
+        problem=problem, schedule=AlphaSchedule("inverse_t"), n_workers=8, steps=steps, b0=8, seed=seed,
+        record_objective=out_dir is not None,
     )
     variants = {
         label: {"scheme": SchemeSpec(scheme, beta=DEFAULT_BETA), "compressor": CompressorSpec(codec)}
@@ -676,6 +691,13 @@ def figure1_experiment(
 # entry point
 
 
+def _seed_flag(text: str) -> int:
+    """--seed's argparse type: a non-negative int, as RunConfig.seed takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gradcomp",
@@ -690,7 +712,7 @@ def main(argv=None) -> int:
             p.add_argument("--config", required=True, help="YAML config file")
             p.add_argument("--record-ghost", action="store_true", help="record the ghost trajectory")
         p.add_argument("--out", required=name != "verify", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        p.add_argument("--seed", type=_seed_flag, default=None, help="override the run seed")
 
     try:
         args = parser.parse_args(argv)

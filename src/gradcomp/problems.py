@@ -75,36 +75,37 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown problem kind {self.kind!r}, expected one of {KINDS}")
+            raise ConfigError(f"unknown problem kind {self.kind!r}, expected one of {KINDS}", "kind")
         for name in ("noise_std", "l2_reg", "condition"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"must be finite, got {getattr(self, name)}", name)
         if not all(map(math.isfinite, self.spectrum)):
             bad = next(v for v in self.spectrum if not math.isfinite(v))
-            raise ConfigError(f"spectrum must be finite, got {bad}")
+            raise ConfigError(f"must be finite, got {bad}", "spectrum")
         if self.kind == "quadratic":
             if len(self.spectrum) == 0:
-                raise ConfigError("quadratic problem needs a non-empty spectrum")
+                raise ConfigError("a quadratic problem needs a non-empty spectrum", "spectrum")
             if min(self.spectrum) < 0:
-                raise ConfigError("quadratic spectrum must be non-negative")
+                raise ConfigError(f"must be non-negative, got {min(self.spectrum)}", "spectrum")
         else:
             if self.dim < 1:
-                raise ConfigError(f"{self.kind} needs dim >= 1, got {self.dim}")
+                raise ConfigError(f"{self.kind} needs dim >= 1, got {self.dim}", "dim")
             if self.n_samples < self.dim:
                 raise ConfigError(
                     f"{self.kind} needs n_samples >= dim for the designed spectrum, "
-                    f"got {self.n_samples} < {self.dim}"
+                    f"got {self.n_samples} < {self.dim}",
+                    "n_samples",
                 )
             if self.condition < 1.0:
-                raise ConfigError(f"condition must be >= 1, got {self.condition}")
+                raise ConfigError(f"must be >= 1, got {self.condition}", "condition")
             if self.noise_std < 0.0:
-                raise ConfigError("noise_std must be non-negative")
+                raise ConfigError(f"must be non-negative, got {self.noise_std}", "noise_std")
             if self.l2_reg < 0.0:
-                raise ConfigError("l2_reg must be non-negative")
+                raise ConfigError(f"must be non-negative, got {self.l2_reg}", "l2_reg")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"must be >= 1, got {self.batch_size}", "batch_size")
         if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            raise ConfigError(f"must be non-negative, got {self.seed}", "seed")
 
 
 @dataclass(frozen=True)

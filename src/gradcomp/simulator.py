@@ -81,7 +81,10 @@ problem on every call.
 Step 0 sends v_0, a plain average of b0 stochastic gradients at x_0,
 uncompressed, so its StepResult has x_next = x_0 - gamma * v_0, a_bar = v_0
 and zero residuals.  _Recorder records it like every later step, into
-columns allocated once, and derives cum_bits from wire_bits.
+columns allocated once, and derives cum_bits from wire_bits.  Each recorded
+step makes one full-data pass for the loss and grad_norm_sq columns; a
+config with record_objective off skips it, and its trace holds None there
+(final_loss and final_grad_norm_sq are computed either way).
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ SAMPLE_BLOCK = 2**16
 # the raw draw, the SVD's u, u scaled by the singular values and the product
 # (during the SVD, LAPACK's copy of the input and its workspace).
 DESIGN_COPIES = 4
-# The per-step metric columns _Recorder preallocates, in RunTrace's order.
+# The per-step metric columns _Recorder preallocates, in RunTrace's order; the
+# first two are the full-data objective, which only record_objective runs keep.
 METRIC_COLUMNS = (
     "loss", "grad_norm_sq", "v_norm", "worker_delta_norm", "server_delta_norm", "delta_bar_norm",
 )
@@ -137,6 +141,11 @@ class RunConfig:
 
     Construction checks every value and the memory bound (_check_run_fits);
     a ConfigError names its field by a dotted path, e.g. "problem.batch_size".
+
+    record_objective=False skips the per-step full-data loss and gradient
+    norm (see _Recorder), for a caller that reads only the final values.  It
+    has no YAML key (metadata key None), so every config the CLI runs, and
+    every metrics CSV it writes, has both columns.
     """
 
     problem: ProblemSpec
@@ -154,11 +163,12 @@ class RunConfig:
     heterogeneity: float = 0.0
     x0_scale: float = 1.0
     record_history: bool = field(default=False, metadata={"key": "record_ghost"})
+    record_objective: bool = field(default=True, metadata={"key": None})
 
     def __post_init__(self):
         for name in ("gamma", "heterogeneity", "x0_scale"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"must be finite, got {getattr(self, name)}", name)
         if not 0.0 <= self.heterogeneity <= 1.0:
             raise ConfigError(f"must be in [0, 1], got {self.heterogeneity}", "heterogeneity")
         if self.estimator not in ESTIMATOR_KINDS:
@@ -172,19 +182,21 @@ class RunConfig:
         ):
             raise ConfigError("sgd runs with alpha fixed to 1; use momentum to average", "estimator")
         if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}")
+            raise ConfigError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}",
+                              "topology")
         if self.topology == "single_worker" and self.n_workers != 1:
-            raise ConfigError("single_worker topology requires n_workers == 1")
+            raise ConfigError(f"must be 1 on the single_worker topology, got {self.n_workers}",
+                              "n_workers")
         if self.n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
+            raise ConfigError(f"must be >= 1, got {self.n_workers}", "n_workers")
         if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+            raise ConfigError(f"must be >= 1, got {self.steps}", "steps")
         if self.gamma < 0.0:
-            raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
+            raise ConfigError(f"must be non-negative, got {self.gamma}", "gamma")
         if self.b0 < 1:
-            raise ConfigError(f"b0 must be >= 1, got {self.b0}")
+            raise ConfigError(f"must be >= 1, got {self.b0}", "b0")
         if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            raise ConfigError(f"must be non-negative, got {self.seed}", "seed")
         dim = _dimension(self.problem)
         for name in ("compressor", "server_compressor"):
             spec = getattr(self, name)
@@ -233,12 +245,16 @@ class RunHistory:
 
 @dataclass
 class RunTrace:
-    """Scalar per-step metrics plus final state; histories only on request."""
+    """Scalar per-step metrics plus final state; histories only on request.
+
+    loss and grad_norm_sq are None when the config's record_objective is
+    off; final_loss and final_grad_norm_sq are always computed.
+    """
 
     config: RunConfig
     steps: np.ndarray
-    loss: np.ndarray
-    grad_norm_sq: np.ndarray
+    loss: np.ndarray | None
+    grad_norm_sq: np.ndarray | None
     v_norm: np.ndarray
     worker_delta_norm: np.ndarray
     server_delta_norm: np.ndarray
@@ -383,32 +399,44 @@ def wire_bits(runtime: Runtime) -> tuple[int, int]:
 
 
 class _Recorder:
-    """Writes one row per step into columns allocated once, and builds the RunTrace."""
+    """Writes one row per step into columns allocated once, and builds the RunTrace.
+
+    Without record_objective it allocates no loss or grad_norm_sq column and
+    makes no full-data pass per step; divergence detection, the norms and
+    the history are the same either way.
+    """
 
     def __init__(self, runtime: Runtime, x0: np.ndarray, v0: np.ndarray):
         self.runtime = runtime
         self.x0 = x0
         self.v0 = v0
         self.rows = 0
+        self.objective = runtime.config.record_objective
         t_max = runtime.config.steps
-        self.columns = {name: np.empty(t_max) for name in METRIC_COLUMNS}
+        self.columns = {name: np.empty(t_max) for name in _metric_columns(runtime.config)}
         self.hist = None
         if runtime.config.record_history:
             shape = (t_max, x0.size)
             self.hist = RunHistory(*(np.zeros(shape) for _ in dataclasses.fields(RunHistory)))
 
     def record(self, t: int, x_t: np.ndarray, step: StepResult) -> None:
-        """Write row t from step (taken at x_t); raise if step.x_next escaped.
+        """Write row t from step (taken at x_t); raise if step.v or step.x_next escaped.
 
         loss right after full_grad at the same point reuses the problem's
-        memoised pass over the data (see problems).
+        memoised pass over the data (see problems).  A finite v.dot(v) means
+        every entry of v is finite, so the entries are tested only when v's
+        norm is not finite (a finite v can overflow it); a NaN x fails the
+        norm bound.
         """
-        problem = self.runtime.problem
-        g = full_grad(problem, x_t)
         columns = self.columns
-        columns["loss"][t] = loss(problem, x_t)
-        columns["grad_norm_sq"][t] = float(np.dot(g, g))
-        columns["v_norm"][t] = _norm(step.v)
+        if self.objective:
+            problem = self.runtime.problem
+            g = full_grad(problem, x_t)
+            columns["loss"][t] = loss(problem, x_t)
+            columns["grad_norm_sq"][t] = float(np.dot(g, g))
+        x, v = step.x_next, step.v
+        v_norm = _norm(v)
+        columns["v_norm"][t] = v_norm
         columns["worker_delta_norm"][t] = step.worker_delta_norm
         columns["server_delta_norm"][t] = step.server_delta_norm
         columns["delta_bar_norm"][t] = _norm(step.delta_bar)
@@ -420,9 +448,7 @@ class _Recorder:
             self.hist.delta_bar[t] = step.delta_bar
         self.rows = t + 1
 
-        x, v = step.x_next, step.v
-        diverged = not (np.isfinite(v).all() and np.isfinite(x).all())
-        if diverged or _norm(x) > DIVERGENCE_NORM:
+        if not (math.isfinite(v_norm) or np.isfinite(v).all()) or not _norm(x) <= DIVERGENCE_NORM:
             raise DivergenceError(t, self.build(x))
 
     def build(self, final_x: np.ndarray) -> RunTrace:
@@ -435,10 +461,11 @@ class _Recorder:
         bits0, bits_per_step = wire_bits(self.runtime)
         problem = self.runtime.problem
         g_final = full_grad(problem, final_x)
+        columns = dict.fromkeys(METRIC_COLUMNS) | {name: c[:rows] for name, c in self.columns.items()}
         return RunTrace(
             config=self.runtime.config,
             steps=steps,
-            **{name: column[:rows] for name, column in self.columns.items()},
+            **columns,
             cum_bits=bits0 + bits_per_step * steps,
             x0=self.x0,
             v0=self.v0,
@@ -454,18 +481,25 @@ def _dimension(spec: ProblemSpec) -> int:
     return len(spec.spectrum) if spec.kind == "quadratic" else spec.dim
 
 
+def _metric_columns(config: RunConfig) -> tuple[str, ...]:
+    """The METRIC_COLUMNS _Recorder allocates for config: all but the
+    full-data objective's two when record_objective is off."""
+    return METRIC_COLUMNS if config.record_objective else METRIC_COLUMNS[2:]
+
+
 def _check_run_fits(config: RunConfig) -> None:
     """Reject a run whose preallocated arrays would not fit in physical memory.
 
-    _Recorder preallocates len(METRIC_COLUMNS) float64 columns of `steps`
-    rows, the fleet's e, delta_1 and delta_2 and Runtime.messages are four
-    (n + 1, d) arrays, and a run that records its history adds five
-    (steps, d) arrays.  A dataset problem's design matrix is n_samples x d,
-    and problems._designed_matrix holds DESIGN_COPIES such arrays at its
-    peak.  A dataset's minibatches take at least n x batch_size int64
-    indices (one step of fleet_minibatches) plus one worker's gathered rows,
-    batch_size x d float64, the least any grad_at call gathers; a quadratic
-    gathers nothing.  A long, wide or many-worker run, a large dataset or a
+    _Recorder preallocates a float64 column of `steps` rows for each of
+    _metric_columns(config) (six, or four without record_objective), the
+    fleet's e, delta_1 and delta_2 and Runtime.messages are four (n + 1, d)
+    arrays, and a run that records its history adds five (steps, d) arrays.
+    A dataset problem's design matrix is n_samples x d, and
+    problems._designed_matrix holds DESIGN_COPIES such arrays at its peak.
+    A dataset's minibatches take at least n x batch_size int64 indices (one
+    step of fleet_minibatches) plus one worker's gathered rows, batch_size x
+    d float64, the least any grad_at call gathers; a quadratic gathers
+    nothing.  A long, wide or many-worker run, a large dataset or a
     wide minibatch would otherwise fail (or swap) only after its problem was
     built.  The arrays are added up in that order, and the error names the
     field whose arrays push the total past physical memory: steps,
@@ -476,7 +510,7 @@ def _check_run_fits(config: RunConfig) -> None:
     dim = _dimension(spec)
     n, steps, batch = config.n_workers, config.steps, spec.batch_size
     arrays = [
-        ("steps", len(METRIC_COLUMNS) * steps, f"the metric columns of {steps} steps"),
+        ("steps", len(_metric_columns(config)) * steps, f"the metric columns of {steps} steps"),
         ("n_workers", 4 * (n + 1) * dim, f"the fleet state of {n} workers at d={dim}"),
     ]
     if config.record_history:

@@ -1,5 +1,6 @@
 """Harness tests: config parsing, CSV emission, CLI exit codes, sweeps."""
 
+import dataclasses
 import math
 import os
 import re
@@ -245,11 +246,11 @@ def test_mistyped_values_are_rejected_by_dotted_path(mapping, path):
     "mapping, message",
     [
         ({"problem": {"kind": "lin_reg", "dim": 2, "n_samples": 4, "noise_std": float("nan")}},
-         "run.problem: noise_std must be finite, got nan"),
+         "run.problem.noise_std: must be finite, got nan"),
         ({"problem": {"kind": "quadratic", "spectrum": [1, float("inf")]}},
-         "run.problem: spectrum must be finite, got inf"),
+         "run.problem.spectrum: must be finite, got inf"),
         ({"schedule": {"kind": "inverse_linear", "c0": float("inf")}},
-         "run.schedule: c0 must be finite, got inf"),
+         "run.schedule.c0: must be finite, got inf"),
     ],
 )
 def test_non_finite_values_are_rejected_by_dotted_path(mapping, message):
@@ -309,6 +310,31 @@ def test_metrics_csv_ghost_column_sits_before_bits(tmp_path):
     write_metrics_csv(trace, path, ghost_residual_norm=np.zeros(trace.t_effective))
     header = path.read_text().splitlines()[0].split(",")
     assert header[-2:] == ["ghost_residual_norm", "cum_bits"]
+
+
+def test_metrics_csv_refuses_a_trace_without_the_objective(tmp_path):
+    trace = run(dataclasses.replace(small_trace().config, record_objective=False))
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(ConfigError) as excinfo:
+        write_metrics_csv(trace, path)
+    assert excinfo.value.field == "record_objective"
+    assert not path.exists()
+
+
+def test_record_objective_has_no_yaml_key(tmp_path, capsys):
+    """Only a caller in Python can turn the objective columns off, so every
+    run the CLI makes can write its metrics CSV; config.yaml never holds it."""
+    with pytest.raises(ConfigError, match=re.escape("run: unknown field(s): record_objective")):
+        parse_run_config({"record_objective": False})
+    config = parse_run_config({})
+    assert encode(dataclasses.replace(config, record_objective=False)) == encode(config)
+    assert "record_objective" not in serialize_config(encode(config))
+
+    text = QUAD_RUN + "  record_objective: false\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: run: unknown field(s): record_objective")
+    assert not out.exists()
 
 
 def test_seventeen_digit_serialization(tmp_path):
@@ -536,7 +562,7 @@ def test_cli_checks_the_values_its_flags_override(tmp_path, capsys):
     cases = {  # config text -> (flags, the dotted path the error names)
         "run: {seed: fast}": (["--seed", "3"], "run.seed"),
         "run: {seed: 1.5}": (["--seed", "3"], "run.seed"),
-        "run: {seed: -1}": (["--seed", "3"], "run"),
+        "run: {seed: -1}": (["--seed", "3"], "run.seed"),
         "run: {record_ghost: yes please}": (["--record-ghost"], "run.record_ghost"),
         f"run: {wide}": (["--record-ghost"], "run.record_ghost"),
         f"compare: {{variants: {{a: {wide}}}}}": (["--record-ghost"], "compare.variants.a.record_ghost"),
@@ -550,6 +576,28 @@ def test_cli_checks_the_values_its_flags_override(tmp_path, capsys):
         assert err.startswith(f"config error: {path}: "), (text, err)
         assert "Traceback" not in err
         assert not out.exists()
+
+
+SECTIONS = {
+    "run": QUAD_RUN,
+    "compare": "compare: {base: {steps: 2}, variants: {a: {}}}\n",
+    "sweep": "sweep: {base: {steps: 2}, gammas: [0.1]}\n",
+}
+
+
+@pytest.mark.parametrize("command", [*SECTIONS, "verify"])
+@pytest.mark.parametrize("seed", ["-1", "fast", "1.5"])
+def test_cli_seed_flag_takes_only_a_non_negative_int(tmp_path, capsys, command, seed):
+    """A bad --seed is a usage error that names the flag, before --out exists."""
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--seed", seed]
+    if command in SECTIONS:
+        argv += ["--config", write_config(tmp_path, SECTIONS[command])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_the_ghost_column_streams_the_gap_norms(tmp_path, monkeypatch):
@@ -829,6 +877,7 @@ def figure1_config(problem, estimator, scheme, compressor, steps, gamma, seed):
         heterogeneity=0.0,
         x0_scale=1.0,
         record_history=False,
+        record_objective=False,
     )
 
 
@@ -913,3 +962,16 @@ def test_figure_experiment_reuses_the_grid_winner_as_the_control(tmp_path, monke
     assert written == sorted(path.name for path in (tmp_path / "fixed").iterdir())
     for name in written:
         assert (tmp_path / "tuned" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()
+
+
+@pytest.mark.parametrize("gamma", [0.1, None], ids=["fixed", "grid"])
+def test_figure_experiment_summary_does_not_depend_on_out_dir(tmp_path, gamma):
+    """Without out_dir the runs skip the per-step objective columns; the
+    summary, which reads only final values, stays the same to the bit."""
+    problem = ProblemSpec(
+        kind="lin_reg", dim=6, n_samples=48, noise_std=0.1, condition=10.0, batch_size=1, seed=3
+    )
+    kwargs = dict(estimators=("storm", "igt"), steps=30, gamma=gamma, seed=1, problem=problem)
+    written = figure1_experiment(**kwargs, out_dir=tmp_path)
+    assert repr(figure1_experiment(**kwargs)) == repr(written)
+    assert len(list(tmp_path.iterdir())) == 10

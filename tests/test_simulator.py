@@ -82,7 +82,7 @@ NON_FINITE_FIELDS = {
 @pytest.mark.parametrize("field", list(NON_FINITE_FIELDS))
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_config_values_are_rejected_by_name(field, value):
-    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+    with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
         NON_FINITE_FIELDS[field](value)
 
 
@@ -298,6 +298,126 @@ def test_divergence_raises_with_the_partial_trace():
     assert trace.history.x.shape == (exc.step + 1, 1)
     # the iterate really did escape
     assert np.linalg.norm(exc.trace.final_x) > 1e12
+
+
+def poisoned_run(monkeypatch, config, at, name, value):
+    """Run config with one entry of step `at`'s v or x_next set to value."""
+    run_step = simulator.run_step
+
+    def poisoning(t, *args):
+        step = run_step(t, *args)
+        if t == at:
+            array = getattr(step, name).copy()
+            array[-1] = value
+            step = dataclasses.replace(step, **{name: array})
+        return step
+
+    monkeypatch.setattr(simulator, "run_step", poisoning)
+    return run(config)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("name", ["v", "x_next"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_entry_diverges_at_its_step(monkeypatch, name, value):
+    """One non-finite entry of v or x diverges at the step that made it,
+    as the entry-wise test did before the norms stood in for it."""
+    config = RunConfig(problem=LIN, compressor=CompressorSpec("one_bit"), n_workers=2, steps=20)
+    with pytest.raises(DivergenceError) as excinfo:
+        poisoned_run(monkeypatch, config, 7, name, value)
+    assert excinfo.value.step == 7
+    assert excinfo.value.trace.t_effective == 8
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+def test_a_finite_v_whose_norm_overflows_does_not_diverge():
+    """v = 1e200 has a finite entry but an infinite norm; with gamma = 0 the
+    iterate stays at x0, and the run ends without diverging."""
+    config = RunConfig(problem=ProblemSpec(kind="quadratic", spectrum=(1e200,)), gamma=0.0, steps=10)
+    trace = run(config)
+    assert trace.t_effective == 10
+    assert np.all(trace.v_norm == np.inf)
+    assert np.array_equal(trace.final_x, np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# runs without the per-step objective
+
+OBJECTIVE_PROBLEMS = {
+    "quadratic": ProblemSpec(kind="quadratic", spectrum=(1.0, 0.5, 0.1)),
+    "lin_reg": LIN,
+    "log_reg": ProblemSpec(kind="log_reg", dim=6, n_samples=48, l2_reg=0.01, batch_size=2, seed=3),
+}
+
+
+def trace_arrays(trace):
+    """Every array and scalar of a trace except the two objective columns."""
+    return [trace.steps, trace.v_norm, trace.worker_delta_norm, trace.server_delta_norm,
+            trace.delta_bar_norm, trace.cum_bits, trace.x0, trace.v0, trace.final_x,
+            trace.final_loss, trace.final_grad_norm_sq, trace.t_effective]
+
+
+def assert_same_but_the_objective(on, off):
+    assert off.loss is None and off.grad_norm_sq is None
+    assert len(on.loss) == len(on.grad_norm_sq) == on.t_effective
+    for a, b in zip(trace_arrays(on), trace_arrays(off), strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("problem", list(OBJECTIVE_PROBLEMS))
+@pytest.mark.parametrize("estimator", ["momentum", "storm", "igt"])
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+def test_a_run_without_the_objective_matches_the_default_run(problem, estimator, scheme):
+    config = RunConfig(
+        problem=OBJECTIVE_PROBLEMS[problem],
+        estimator=estimator,
+        schedule=AlphaSchedule(kind="inverse_t"),
+        scheme=SchemeSpec(kind=scheme, beta=0.3),
+        compressor=CompressorSpec("one_bit"),
+        n_workers=3,
+        steps=30,
+        gamma=0.05,
+        b0=2,
+        seed=4,
+    )
+    assert_same_but_the_objective(run(config), run(dataclasses.replace(config, record_objective=False)))
+
+
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+def test_a_run_without_the_objective_diverges_at_the_same_step(scheme):
+    config = RunConfig(
+        problem=ProblemSpec(kind="quadratic", spectrum=(1.0,)),
+        scheme=SchemeSpec(kind=scheme, beta=0.3),
+        compressor=CompressorSpec("one_bit"),
+        topology="single_worker",
+        gamma=3.0,
+        steps=200,
+    )
+    errors = []
+    for record_objective in (True, False):
+        with pytest.raises(DivergenceError) as excinfo:
+            run(dataclasses.replace(config, record_objective=record_objective))
+        errors.append(excinfo.value)
+    assert errors[0].step == errors[1].step
+    assert_same_but_the_objective(errors[0].trace, errors[1].trace)
+
+
+def test_the_memory_check_counts_only_the_columns_a_run_allocates():
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    steps = physical // (5 * 8)  # six float64 columns exceed memory, four fit
+    with pytest.raises(ConfigError, match="^steps: the metric columns"):
+        RunConfig(problem=QUAD2, steps=steps)
+    assert RunConfig(problem=QUAD2, steps=steps, record_objective=False).steps == steps
+
+
+def test_a_run_without_the_objective_makes_no_full_data_pass(monkeypatch):
+    """build computes the final loss and gradient once; no step calls them."""
+    calls = []
+    for name in ("full_grad", "loss"):
+        original = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda p, x, f=original, n=name: calls.append(n) or f(p, x))
+    run(RunConfig(problem=LIN, n_workers=2, steps=25, record_objective=False))
+    assert calls == ["full_grad", "loss"]
 
 
 @pytest.mark.parametrize("scheme", ["none", "two_step"])
