@@ -166,7 +166,7 @@ class SweepSection:
 
     def __post_init__(self):
         if self.c0s is not None and self.alphas is not None:
-            raise ConfigError("give either c0s or alphas, not both")
+            raise ConfigError("give either c0s or alphas, not both", "c0s")
         for axis in ("gammas", "alphas", "c0s"):
             values = getattr(self, axis)
             if values == ():

@@ -27,10 +27,10 @@ problem can be shared between runs without one run's writes reaching the
 next.  The two dataset kinds start loss and full_grad from the same pass
 over the data, the residual Xx - y (lin_reg) or the margin y * Xx (log_reg),
 and keep the last one in a one-entry memo keyed on the bytes of x: a loss
-right after a full_grad at the same point (as the simulator's recorder
-does) reads the data once.  The memoised vector is read-only too, and the
-memo holds a single vector per problem.  A quadratic has no memo: its pass
-is h * x, which costs no more than copying x into a key.
+right after a full_grad at the same point (as the simulator's _objective
+makes them) reads the data once.  The memoised vector is read-only too,
+and the memo holds a single vector per problem.  A quadratic has no memo:
+its pass is h * x, which costs no more than copying x into a key.
 """
 
 from __future__ import annotations

@@ -69,22 +69,27 @@ returns the (d,) full gradient for any stack of indices, so the one eval_a
 call yields a single estimate, which is broadcast into every worker row of
 the messages, the same bits n separate evaluations would give.
 
-One problem per spec.  build_context keeps the last (ProblemSpec, problem)
-pair it built, and a config whose problem spec equals that spec reuses the
-problem instead of rebuilding its dataset; run, the oracle replays and the
-harness flows all go through it.  Before it builds a problem for a
-different spec it drops the old pair, so the cache never holds two
-datasets at once.  A problem's arrays are read-only (see problems), so no
-run can change what the next one reads.  make_problem itself builds a new
-problem on every call.
+One problem per spec.  cached_problem keeps the last (ProblemSpec, problem)
+pair it built, and a spec equal to that spec reuses the problem instead of
+rebuilding its dataset; run, the oracle replays, the harness flows (all
+through build_context) and a trace's derived objective go through it.
+Before it builds a problem for a different spec it drops the old pair, so
+the cache never holds two datasets at once.  A problem's arrays are
+read-only (see problems), so no run can change what the next one reads.
+make_problem itself builds a new problem on every call.
 
 Step 0 sends v_0, a plain average of b0 stochastic gradients at x_0,
 uncompressed, so its StepResult has x_next = x_0 - gamma * v_0, a_bar = v_0
 and zero residuals.  _Recorder records it like every later step, into
-columns allocated once, and derives cum_bits from wire_bits.  Each recorded
-step makes one full-data pass for the loss and grad_norm_sq columns; a
-config with record_objective off skips it, and its trace holds None there
-(final_loss and final_grad_norm_sq are computed either way).
+columns allocated once, and derives cum_bits from wire_bits.  The loss and
+grad_norm_sq columns take one full-data pass (_objective) per recorded
+step.  A run without history makes that pass as it records each step.  A
+run with history keeps every x_t in history.x, so it makes no pass while
+it runs: its trace fills both columns from history.x on their first read,
+with the same calls in the same order, so the same bits.  The oracle
+replays never read them.  A config with record_objective off has neither
+column, and its trace holds None there.  final_loss and
+final_grad_norm_sq are computed once, at the end, either way.
 """
 
 from __future__ import annotations
@@ -128,8 +133,9 @@ SAMPLE_BLOCK = 2**16
 # the raw draw, the SVD's u, u scaled by the singular values and the product
 # (during the SVD, LAPACK's copy of the input and its workspace).
 DESIGN_COPIES = 4
-# The per-step metric columns _Recorder preallocates, in RunTrace's order; the
-# first two are the full-data objective, which only record_objective runs keep.
+# The per-step metric columns of a trace, in RunTrace's order.  The first two
+# are the full-data objective, which only record_objective runs hold; a run
+# that records history derives them on first read (see RunTrace).
 METRIC_COLUMNS = (
     "loss", "grad_norm_sq", "v_norm", "worker_delta_norm", "server_delta_norm", "delta_bar_norm",
 )
@@ -247,14 +253,20 @@ class RunHistory:
 class RunTrace:
     """Scalar per-step metrics plus final state; histories only on request.
 
-    loss and grad_norm_sq are None when the config's record_objective is
-    off; final_loss and final_grad_norm_sq are always computed.
+    loss and grad_norm_sq are the full-data objective at each recorded x_t,
+    and None when the config's record_objective is off.  A run without
+    history records them step by step.  A run with history derives them:
+    the first read of either column fills both from history.x, one
+    _objective call per row on cached_problem(config.problem), which may
+    rebuild the problem if another spec has evicted it.  They have the bits
+    the step-by-step calls give, and later reads return the same arrays.
+    The trace holds no problem, so it keeps no dataset alive.  The history
+    arrays are read-only, so no caller can change what the columns are
+    derived from.  final_loss and final_grad_norm_sq are always computed.
     """
 
     config: RunConfig
     steps: np.ndarray
-    loss: np.ndarray | None
-    grad_norm_sq: np.ndarray | None
     v_norm: np.ndarray
     worker_delta_norm: np.ndarray
     server_delta_norm: np.ndarray
@@ -267,6 +279,26 @@ class RunTrace:
     final_grad_norm_sq: float
     t_effective: int
     history: RunHistory | None = None
+    # (loss, grad_norm_sq), or None: always without record_objective, and on a
+    # history run until the first read of either column fills it.
+    _objective: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def loss(self) -> np.ndarray | None:
+        return self._objective_columns()[0]
+
+    @property
+    def grad_norm_sq(self) -> np.ndarray | None:
+        return self._objective_columns()[1]
+
+    def _objective_columns(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        if self._objective is None and self.config.record_objective:
+            problem = cached_problem(self.config.problem)
+            columns = np.empty((2, len(self.history.x)))
+            for t, x in enumerate(self.history.x):
+                columns[:, t] = _objective(problem, x)
+            self._objective = (columns[0], columns[1])
+        return self._objective or (None, None)
 
     def eps_hat(self) -> float:
         """Empirical contraction bound over the aggregated residual trace."""
@@ -307,6 +339,16 @@ def _norm(v: np.ndarray) -> float:
     numpy computes that norm as sqrt(v.dot(v)); this skips its dispatch.
     """
     return math.sqrt(v.dot(v))
+
+
+def _objective(problem, x: np.ndarray) -> tuple[float, float]:
+    """(loss, squared full-gradient norm) at x.
+
+    loss right after full_grad at the same point reuses the problem's
+    memoised pass over the data (see problems).
+    """
+    g = full_grad(problem, x)
+    return loss(problem, x), float(np.dot(g, g))
 
 
 def run_step(
@@ -401,9 +443,11 @@ def wire_bits(runtime: Runtime) -> tuple[int, int]:
 class _Recorder:
     """Writes one row per step into columns allocated once, and builds the RunTrace.
 
-    Without record_objective it allocates no loss or grad_norm_sq column and
-    makes no full-data pass per step; divergence detection, the norms and
-    the history are the same either way.
+    Only a record_objective run without history allocates the loss and
+    grad_norm_sq columns and makes a full-data pass per step; a history run
+    leaves them to RunTrace, which derives them from history.x on first
+    read.  Divergence detection, the norms and the history are the same
+    either way.
     """
 
     def __init__(self, runtime: Runtime, x0: np.ndarray, v0: np.ndarray):
@@ -411,29 +455,26 @@ class _Recorder:
         self.x0 = x0
         self.v0 = v0
         self.rows = 0
-        self.objective = runtime.config.record_objective
-        t_max = runtime.config.steps
-        self.columns = {name: np.empty(t_max) for name in _metric_columns(runtime.config)}
+        config = runtime.config
+        self.eager = config.record_objective and not config.record_history
+        t_max = config.steps
+        names = METRIC_COLUMNS if self.eager else METRIC_COLUMNS[2:]
+        self.columns = {name: np.empty(t_max) for name in names}
         self.hist = None
-        if runtime.config.record_history:
+        if config.record_history:
             shape = (t_max, x0.size)
             self.hist = RunHistory(*(np.zeros(shape) for _ in dataclasses.fields(RunHistory)))
 
     def record(self, t: int, x_t: np.ndarray, step: StepResult) -> None:
         """Write row t from step (taken at x_t); raise if step.v or step.x_next escaped.
 
-        loss right after full_grad at the same point reuses the problem's
-        memoised pass over the data (see problems).  A finite v.dot(v) means
-        every entry of v is finite, so the entries are tested only when v's
-        norm is not finite (a finite v can overflow it); a NaN x fails the
-        norm bound.
+        A finite v.dot(v) means every entry of v is finite, so the entries
+        are tested only when v's norm is not finite (a finite v can overflow
+        it); a NaN x fails the norm bound.
         """
         columns = self.columns
-        if self.objective:
-            problem = self.runtime.problem
-            g = full_grad(problem, x_t)
-            columns["loss"][t] = loss(problem, x_t)
-            columns["grad_norm_sq"][t] = float(np.dot(g, g))
+        if self.eager:
+            columns["loss"][t], columns["grad_norm_sq"][t] = _objective(self.runtime.problem, x_t)
         x, v = step.x_next, step.v
         v_norm = _norm(v)
         columns["v_norm"][t] = v_norm
@@ -452,16 +493,21 @@ class _Recorder:
             raise DivergenceError(t, self.build(x))
 
     def build(self, final_x: np.ndarray) -> RunTrace:
-        """The trace of the rows written so far, ending at final_x."""
+        """The trace of the rows written so far, ending at final_x.
+
+        Its history arrays are read-only views of the recorder's.
+        """
         rows = self.rows
         hist = self.hist
         if hist is not None:
             hist = RunHistory(**{name: array[:rows] for name, array in vars(hist).items()})
+            for array in vars(hist).values():
+                array.flags.writeable = False
         steps = np.arange(rows, dtype=np.int64)
         bits0, bits_per_step = wire_bits(self.runtime)
-        problem = self.runtime.problem
-        g_final = full_grad(problem, final_x)
-        columns = dict.fromkeys(METRIC_COLUMNS) | {name: c[:rows] for name, c in self.columns.items()}
+        columns = {name: c[:rows] for name, c in self.columns.items()}
+        objective = (columns.pop("loss"), columns.pop("grad_norm_sq")) if self.eager else None
+        final_loss, final_grad_norm_sq = _objective(self.runtime.problem, final_x)
         return RunTrace(
             config=self.runtime.config,
             steps=steps,
@@ -470,10 +516,11 @@ class _Recorder:
             x0=self.x0,
             v0=self.v0,
             final_x=final_x,
-            final_loss=loss(problem, final_x),
-            final_grad_norm_sq=float(np.dot(g_final, g_final)),
+            final_loss=final_loss,
+            final_grad_norm_sq=final_grad_norm_sq,
             t_effective=rows,
             history=hist,
+            _objective=objective,
         )
 
 
@@ -482,16 +529,20 @@ def _dimension(spec: ProblemSpec) -> int:
 
 
 def _metric_columns(config: RunConfig) -> tuple[str, ...]:
-    """The METRIC_COLUMNS _Recorder allocates for config: all but the
-    full-data objective's two when record_objective is off."""
+    """The METRIC_COLUMNS a trace of config holds: all but the full-data
+    objective's two when record_objective is off.  _Recorder allocates the
+    two only without history; a history run's trace allocates them on
+    their first read."""
     return METRIC_COLUMNS if config.record_objective else METRIC_COLUMNS[2:]
 
 
 def _check_run_fits(config: RunConfig) -> None:
     """Reject a run whose preallocated arrays would not fit in physical memory.
 
-    _Recorder preallocates a float64 column of `steps` rows for each of
-    _metric_columns(config) (six, or four without record_objective), the
+    A trace holds a float64 column of `steps` rows for each of
+    _metric_columns(config) (six, or four without record_objective);
+    _Recorder preallocates them, except a history run's loss and
+    grad_norm_sq, which its trace allocates on their first read.  The
     fleet's e, delta_1 and delta_2 and Runtime.messages are four (n + 1, d)
     arrays, and a run that records its history adds five (steps, d) arrays.
     A dataset problem's design matrix is n_samples x d, and
@@ -533,8 +584,17 @@ def _check_run_fits(config: RunConfig) -> None:
             )
 
 
-# The last (ProblemSpec, problem) pair build_context built; see the module docstring.
+# The last (ProblemSpec, problem) pair cached_problem built; see the module docstring.
 _last_problem: tuple[ProblemSpec, object] | None = None
+
+
+def cached_problem(spec: ProblemSpec):
+    """The problem of spec, from the one-entry cache; a new spec evicts the old one."""
+    global _last_problem
+    if _last_problem is None or _last_problem[0] != spec:
+        _last_problem = None  # let the old dataset go before the new one is built
+        _last_problem = (spec, make_problem(spec))
+    return _last_problem[1]
 
 
 def build_context(config: RunConfig):
@@ -544,11 +604,7 @@ def build_context(config: RunConfig):
     the run seed salts every sample handle of grad, so runs that differ
     only in seed share the data and its split but draw other minibatches.
     """
-    global _last_problem
-    if _last_problem is None or _last_problem[0] != config.problem:
-        _last_problem = None  # let the old dataset go before the new one is built
-        _last_problem = (config.problem, make_problem(config.problem))
-    problem = _last_problem[1]
+    problem = cached_problem(config.problem)
     shards = partition_data(problem, config.n_workers, config.problem.seed, config.heterogeneity)
     return problem, shards, shard_sampler(problem, shards, salt=config.seed)
 

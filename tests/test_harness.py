@@ -535,6 +535,7 @@ UNUSABLE = (  # (command, config text, dotted path the error names)
     ("sweep", "sweep: {base: {steps: 10}, gammas: [0.1], c0s: [0.5, 1.0e+308]}",
      "sweep.gamma_0.1_c0_1e+308.schedule.c0"),
     ("sweep", "sweep: {base: {steps: 1000000000000}, gammas: [0.1]}", "sweep.gamma_0.1.steps"),
+    ("sweep", "sweep: {base: {steps: 2}, gammas: [0.1], alphas: [0.5], c0s: [0.05]}", "sweep.c0s"),
 )
 
 

@@ -364,11 +364,8 @@ def assert_same_but_the_objective(on, off):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.mark.parametrize("problem", list(OBJECTIVE_PROBLEMS))
-@pytest.mark.parametrize("estimator", ["momentum", "storm", "igt"])
-@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
-def test_a_run_without_the_objective_matches_the_default_run(problem, estimator, scheme):
-    config = RunConfig(
+def objective_config(problem, estimator, scheme, **changes):
+    return RunConfig(
         problem=OBJECTIVE_PROBLEMS[problem],
         estimator=estimator,
         schedule=AlphaSchedule(kind="inverse_t"),
@@ -379,20 +376,42 @@ def test_a_run_without_the_objective_matches_the_default_run(problem, estimator,
         gamma=0.05,
         b0=2,
         seed=4,
+        **changes,
     )
-    assert_same_but_the_objective(run(config), run(dataclasses.replace(config, record_objective=False)))
 
 
-@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
-def test_a_run_without_the_objective_diverges_at_the_same_step(scheme):
-    config = RunConfig(
+def diverging_config(scheme, **changes):
+    return RunConfig(
         problem=ProblemSpec(kind="quadratic", spectrum=(1.0,)),
         scheme=SchemeSpec(kind=scheme, beta=0.3),
         compressor=CompressorSpec("one_bit"),
         topology="single_worker",
         gamma=3.0,
         steps=200,
+        **changes,
     )
+
+
+def count_objective_calls(monkeypatch) -> list:
+    """Names of the simulator's full_grad and loss calls, in call order."""
+    calls = []
+    for name in ("full_grad", "loss"):
+        original = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda p, x, f=original, n=name: calls.append(n) or f(p, x))
+    return calls
+
+
+@pytest.mark.parametrize("problem", list(OBJECTIVE_PROBLEMS))
+@pytest.mark.parametrize("estimator", ["momentum", "storm", "igt"])
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+def test_a_run_without_the_objective_matches_the_default_run(problem, estimator, scheme):
+    config = objective_config(problem, estimator, scheme)
+    assert_same_but_the_objective(run(config), run(dataclasses.replace(config, record_objective=False)))
+
+
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+def test_a_run_without_the_objective_diverges_at_the_same_step(scheme):
+    config = diverging_config(scheme)
     errors = []
     for record_objective in (True, False):
         with pytest.raises(DivergenceError) as excinfo:
@@ -412,12 +431,84 @@ def test_the_memory_check_counts_only_the_columns_a_run_allocates():
 
 def test_a_run_without_the_objective_makes_no_full_data_pass(monkeypatch):
     """build computes the final loss and gradient once; no step calls them."""
-    calls = []
-    for name in ("full_grad", "loss"):
-        original = getattr(simulator, name)
-        monkeypatch.setattr(simulator, name, lambda p, x, f=original, n=name: calls.append(n) or f(p, x))
+    calls = count_objective_calls(monkeypatch)
     run(RunConfig(problem=LIN, n_workers=2, steps=25, record_objective=False))
     assert calls == ["full_grad", "loss"]
+
+
+# ---------------------------------------------------------------------------
+# history runs derive the objective on first read
+
+
+def assert_same_objective(eager, derived):
+    assert len(derived.loss) == len(derived.grad_norm_sq) == derived.t_effective
+    for name in ("loss", "grad_norm_sq"):
+        assert getattr(derived, name).tobytes() == getattr(eager, name).tobytes(), name
+    for a, b in zip(trace_arrays(eager), trace_arrays(derived), strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("problem", list(OBJECTIVE_PROBLEMS))
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+def test_a_history_run_derives_the_objective_columns_of_the_run_without(problem, scheme):
+    config = objective_config(problem, "storm", scheme)
+    assert_same_objective(run(config), run(dataclasses.replace(config, record_history=True)))
+
+
+def test_a_history_run_makes_the_full_data_pass_on_first_read_only(monkeypatch):
+    """run makes only build's final pair; the first read of either column
+    makes one pair per row, full_grad first; later reads make none."""
+    calls = count_objective_calls(monkeypatch)
+    trace = run(RunConfig(problem=LIN, n_workers=2, steps=25, record_history=True))
+    assert calls == ["full_grad", "loss"]
+    calls.clear()
+    grad_norm_sq = trace.grad_norm_sq
+    assert calls == ["full_grad", "loss"] * 25
+    calls.clear()
+    assert trace.grad_norm_sq is grad_norm_sq
+    assert len(trace.loss) == 25
+    assert calls == []
+
+
+@pytest.mark.parametrize("scheme", ["none", "single", "two_step"])
+def test_a_diverging_history_run_derives_the_partial_columns(scheme):
+    errors = []
+    for record_history in (False, True):
+        with pytest.raises(DivergenceError) as excinfo:
+            run(diverging_config(scheme, record_history=record_history))
+        errors.append(excinfo.value)
+    assert errors[0].step == errors[1].step
+    assert_same_objective(errors[0].trace, errors[1].trace)
+
+
+def test_a_history_runs_columns_do_not_depend_on_what_the_cache_holds():
+    """The columns read after another spec evicted the run's problem have
+    the bytes of the eager run, and the trace does not keep the problem."""
+    config = objective_config("lin_reg", "igt", "two_step")
+    eager = run(config)
+    trace = run(dataclasses.replace(config, record_history=True))
+    gone = weakref.ref(simulator.cached_problem(LIN))
+    simulator.cached_problem(QUAD2)
+    gc.collect()
+    assert gone() is None, "the trace kept its problem alive"
+    assert_same_objective(eager, trace)
+
+
+@pytest.mark.parametrize("diverges", [False, True], ids=["finished", "diverged"])
+def test_a_traces_history_is_read_only(diverges):
+    """Writing into history.x before the first read would change the derived
+    columns, so every history array of a returned trace refuses writes."""
+    if diverges:
+        with pytest.raises(DivergenceError) as excinfo:
+            run(diverging_config("two_step", record_history=True))
+        trace = excinfo.value.trace
+    else:
+        trace = run(objective_config("lin_reg", "momentum", "single", record_history=True))
+    history = vars(trace.history)
+    assert len(history) == 5
+    for name, array in history.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("scheme", ["none", "two_step"])
