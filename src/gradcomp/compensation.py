@@ -93,20 +93,18 @@ class CompensationState:
         return cls(e=np.zeros(shape), delta_1=np.zeros(shape), delta_2=np.zeros(shape))
 
 
-def scheme_coefficients(kind: str, alpha_t: float) -> tuple[float, float, float, float]:
+def scheme_coefficients(scheme: SchemeSpec, alpha_t: float) -> tuple[float, float, float, float]:
     """Unified-form coefficients (eta1, eta2, c1, c2) for the given scheme."""
     if not 0.0 < alpha_t <= 1.0:
         raise ConfigError(f"alpha_t must be in (0, 1], got {alpha_t}")
-    if kind == "none":
+    if scheme.kind == "none":
         return (1.0, 0.0, 0.0, 0.0)
-    if kind == "single":
+    if scheme.kind == "single":
         return (1.0, 1.0, 1.0, 0.0)
-    if kind == "two_step":
-        return (alpha_t, alpha_t, 2.0 - alpha_t, 1.0 - alpha_t)
-    raise ConfigError(f"unknown scheme kind {kind!r}, expected one of {KINDS}")
+    return (alpha_t, alpha_t, 2.0 - alpha_t, 1.0 - alpha_t)
 
 
-def transmits_weighted_increment(kind: str) -> bool:
+def transmits_weighted_increment(scheme: SchemeSpec) -> bool:
     """Whether the scheme compresses the a_t-weighted increment.
 
     True for none/single: the message is a_t A_t + e_t and the receiver adds
@@ -115,22 +113,20 @@ def transmits_weighted_increment(kind: str) -> bool:
     two_step: the message is A_t + e_t and the receiver applies the weight,
     damping the error by a_t (eta1 = a_t).
     """
-    if kind not in KINDS:
-        raise ConfigError(f"unknown scheme kind {kind!r}, expected one of {KINDS}")
-    return kind in ("none", "single")
+    return scheme.kind in ("none", "single")
 
 
 def filter_update(
     state: CompensationState,
-    beta: float,
+    scheme: SchemeSpec,
     alpha_t: float,
     alpha_t1: float,
     alpha_t2: float,
-    kind: str,
 ) -> np.ndarray:
-    """Advance the low-pass filter in place and return state.e, now e_t.
+    """Advance scheme's low-pass filter in place and return state.e, now e_t.
 
-    The residual buffers are left untouched; they shift only after the node
+    scheme gives the kind and beta; SchemeSpec has checked both.  The
+    residual buffers are left untouched; they shift only after the node
     compressed its message (shift_deltas).  Every element goes through the
     same float operations, in the same order, as the expression in the
     module docstring: w1*delta_1, w2*delta_2, their difference, times beta,
@@ -138,8 +134,6 @@ def filter_update(
     """
     if alpha_t <= 0.0:
         raise ConfigError(f"alpha_t must be positive, got {alpha_t}")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown scheme kind {kind!r}, expected one of {KINDS}")
     e = state.e
     if not e.flags.c_contiguous:
         raise ConfigError("filter_update writes e in place, so e must be C-contiguous")
@@ -148,6 +142,7 @@ def filter_update(
             f"shape mismatch: e {e.shape}, delta_1 {state.delta_1.shape}, "
             f"delta_2 {state.delta_2.shape}"
         )
+    kind, beta = scheme.kind, scheme.beta
     if kind == "none":
         e.fill(0.0)
         return e

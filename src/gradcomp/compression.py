@@ -237,16 +237,11 @@ def compress(
         scale = rs.sum(axis=1, keepdims=True) / d
         # Tiles of at most SIGN_TILE elements: blocks of whole rows, or
         # slices of one row when a row is wider than a tile.
-        if d <= SIGN_TILE:
-            block = SIGN_TILE // d
-            for lo in range(0, m, block):
-                rows = slice(lo, lo + block)
-                _emit_signed(xs[rows], scale[rows], cs[rows], rs[rows])
-        else:
-            for j in range(m):
-                for lo in range(0, d, SIGN_TILE):
-                    cols = slice(lo, lo + SIGN_TILE)
-                    _emit_signed(xs[j, cols], scale[j], cs[j, cols], rs[j, cols])
+        block, width = max(1, SIGN_TILE // d), min(d, SIGN_TILE)
+        for lo in range(0, m, block):
+            for left in range(0, d, width):
+                tile = slice(lo, lo + block), slice(left, left + width)
+                _emit_signed(xs[tile], scale[tile[0]], cs[tile], rs[tile])
     else:
         for j in range(m):
             _compress_row(xs[j], spec, step, node_id + j, cs[j], rs[j])
@@ -258,7 +253,7 @@ def message_bits(spec: CompressorSpec, dim: int) -> int:
     """Bits on the wire for one compressed message of dimension dim.
 
     one_bit      one sign bit per coordinate plus the float scale.
-    top_k/rand_k k (index, value) pairs; indices cost ceil(log2 d) bits.
+    top_k/rand_k k <= dim (index, value) pairs; indices cost ceil(log2 d) bits.
     stoch_quant  one signed level per coordinate (2*levels + 1 symbols)
                  plus the float scale.
     identity     the raw vector.
@@ -268,8 +263,9 @@ def message_bits(spec: CompressorSpec, dim: int) -> int:
     if spec.kind == "one_bit":
         return dim + FLOAT_BITS
     if spec.kind in ("top_k", "rand_k"):
-        k = min(spec.k, dim)
-        return k * (FLOAT_BITS + math.ceil(math.log2(dim)))
+        if spec.k > dim:
+            raise ConfigError(f"{spec.k} exceeds the message dimension {dim}", "k")
+        return spec.k * (FLOAT_BITS + math.ceil(math.log2(dim)))
     if spec.kind == "stoch_quant":
         return dim * math.ceil(math.log2(2 * spec.levels + 1)) + FLOAT_BITS
     return dim * FLOAT_BITS

@@ -356,8 +356,6 @@ def execute_run(config: RunConfig) -> tuple[RunTrace, int | None]:
     try:
         return run(config), None
     except DivergenceError as exc:
-        if exc.trace is None:
-            raise
         return exc.trace, exc.step
 
 
@@ -728,9 +726,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"unexpected divergence at step {exc.step}", file=sys.stderr)
         return 3

@@ -206,7 +206,7 @@ def verify_residual_identity(trace: RunTrace, tolerance: float = 1e-9) -> Identi
     _require_history(trace)
 
     alpha = config.schedule.at(1)
-    coefficients = (*scheme_coefficients(config.scheme.kind, alpha), alpha, config.gamma)
+    coefficients = (*scheme_coefficients(config.scheme, alpha), alpha, config.gamma)
     hist = trace.history
     predictions = {
         sign: residual_closed_form(hist.delta_bar, *coefficients, c2_sign=sign) for sign in (1, -1)
@@ -449,10 +449,10 @@ def coefficient_form_run(config: RunConfig) -> tuple[np.ndarray, np.ndarray, np.
     x = x - config.gamma * v
     for t in range(1, config.steps):
         a_t = schedule.at(t)
-        eta1, eta2, c1, c2 = scheme_coefficients(config.scheme.kind, a_t)
+        eta1, eta2, c1, c2 = scheme_coefficients(config.scheme, a_t)
         e = (1.0 - beta) * e + beta * (c1 * delta_1 - c2 * delta_2)
         a_vec = estimator.eval_a(x, SampleHandle(t=t, worker=0, draw=0), a_t, grad)
-        if transmits_weighted_increment(config.scheme.kind):
+        if transmits_weighted_increment(config.scheme):
             outgoing = a_t * a_vec + e
         else:
             outgoing = a_vec + e

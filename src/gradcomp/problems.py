@@ -131,10 +131,18 @@ class SampleHandle:
 
 @dataclass(frozen=True)
 class Shard:
-    """One worker's slice of the dataset (indices is None for sample-free problems)."""
+    """One worker's slice of the dataset (indices is None for sample-free problems).
+
+    An empty index array is rejected here, so every sampler may draw from
+    any shard it is given.
+    """
 
     worker: int
     indices: np.ndarray | None
+
+    def __post_init__(self):
+        if self.indices is not None and self.indices.size == 0:
+            raise ConfigError(f"worker {self.worker} has an empty shard")
 
     def size(self) -> int:
         return 0 if self.indices is None else int(self.indices.size)
@@ -305,8 +313,6 @@ def minibatch_indices(problem, shard: Shard, handle: SampleHandle) -> np.ndarray
     """Dataset indices for the minibatch this handle pins (with replacement)."""
     if shard.indices is None:
         return np.empty(0, dtype=np.int64)
-    if shard.indices.size == 0:
-        raise ConfigError(f"worker {shard.worker} has an empty shard")
     rng = keyed_generator(
         problem.spec.seed, STREAM_SAMPLE, handle.t, handle.worker, handle.draw, handle.salt
     )
@@ -324,9 +330,6 @@ def fleet_minibatches(problem, shards: list[Shard], t0: int, t1: int, salt: int 
     steps, n = t1 - t0, len(shards)
     if problem.n_samples == 0:
         return np.empty((steps, n, 0), dtype=np.int64)
-    for shard in shards:
-        if shard.size() == 0:
-            raise ConfigError(f"worker {shard.worker} has an empty shard")
     keys = np.empty((steps, n, 5), dtype=np.int64 if salt < 2**63 else object)
     keys[...] = (STREAM_SAMPLE, 0, 0, 0, salt)
     keys[..., 1] = np.arange(t0, t1)[:, None]
@@ -341,8 +344,6 @@ def fleet_minibatches(problem, shards: list[Shard], t0: int, t1: int, salt: int 
 def stoch_grad(problem, shard: Shard, x, handle: SampleHandle) -> np.ndarray:
     """Minibatch gradient at x for the samples the handle pins."""
     x = np.asarray(x, dtype=np.float64)
-    if problem.n_samples == 0:
-        return problem.full_grad(x)
     return problem.grad_at(x, minibatch_indices(problem, shard, handle))
 
 
@@ -400,8 +401,6 @@ def variance_sigma2(problem, shard: Shard, x, trials: int) -> float:
     x = np.asarray(x, dtype=np.float64)
     if problem.n_samples == 0:
         return 0.0
-    if shard.size() == 0:
-        raise ConfigError(f"worker {shard.worker} has an empty shard")
     center = problem.grad_at(x, shard.indices)
     total = 0.0
     # draw index outside the training range (training uses small draw values)

@@ -111,7 +111,6 @@ from .compensation import (
 )
 from .compression import FLOAT_BITS, CompressorSpec, compress, measured_epsilon, message_bits
 from .errors import ConfigError, DivergenceError
-from .estimators import KINDS as ESTIMATOR_KINDS
 from .estimators import AlphaSchedule, Estimator, fixed_order_mean, init_v0
 from .problems import (
     ProblemSpec,
@@ -147,6 +146,9 @@ class RunConfig:
 
     Construction checks every value and the memory bound (_check_run_fits);
     a ConfigError names its field by a dotted path, e.g. "problem.batch_size".
+    Each nested spec has checked its own values.  The estimator kind and
+    the sgd rule are Estimator's own checks, which construction runs and
+    re-raises at "estimator".
 
     record_objective=False skips the per-step full-data loss and gradient
     norm (see _Recorder), for a caller that reads only the final values.  It
@@ -177,16 +179,10 @@ class RunConfig:
                 raise ConfigError(f"must be finite, got {getattr(self, name)}", name)
         if not 0.0 <= self.heterogeneity <= 1.0:
             raise ConfigError(f"must be in [0, 1], got {self.heterogeneity}", "heterogeneity")
-        if self.estimator not in ESTIMATOR_KINDS:
-            raise ConfigError(
-                f"unknown estimator kind {self.estimator!r}, expected one of {ESTIMATOR_KINDS}",
-                "estimator",
-            )
-        # Estimator's own test: a schedule is more than its alpha_t (c0, horizon).
-        if self.estimator == "sgd" and not (
-            self.schedule.kind == "constant" and self.schedule.alpha == 1.0
-        ):
-            raise ConfigError("sgd runs with alpha fixed to 1; use momentum to average", "estimator")
+        try:
+            Estimator(kind=self.estimator, schedule=self.schedule)
+        except ConfigError as exc:
+            raise ConfigError(exc.reason, "estimator") from None
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}",
                               "topology")
@@ -370,9 +366,9 @@ def run_step(
     n = len(runtime.messages) - 1
     alphas = (schedule.at(t), schedule.at(t - 1), schedule.at(t - 2))
     a_t = alphas[0]
-    weighted = transmits_weighted_increment(scheme.kind)
+    weighted = transmits_weighted_increment(scheme)
 
-    e = filter_update(fleet, scheme.beta, *alphas, scheme.kind)
+    e = filter_update(fleet, scheme, *alphas)
     # The residual buffer of step t-2 is dead once the filter has read it.
     residuals = fleet.delta_2
     messages = runtime.messages[:n]

@@ -333,7 +333,7 @@ def test_criterion_06_aggregated_update_lemma():
     )
     trace = run(config)
     hist = trace.history
-    eta1, eta2, _, _ = scheme_coefficients("two_step", alpha_c)
+    eta1, eta2, _, _ = scheme_coefficients(config.scheme, alpha_c)
     worst = 0.0
     for t in range(1, trace.t_effective):
         predicted = (

@@ -41,26 +41,25 @@ def test_scheme_spec_validation():
 
 
 def test_coefficient_table_at_alpha_quarter():
-    assert scheme_coefficients("none", 0.25) == (1.0, 0.0, 0.0, 0.0)
-    assert scheme_coefficients("single", 0.25) == (1.0, 1.0, 1.0, 0.0)
-    assert scheme_coefficients("two_step", 0.25) == (0.25, 0.25, 1.75, 0.75)
+    assert scheme_coefficients(SchemeSpec("none"), 0.25) == (1.0, 0.0, 0.0, 0.0)
+    assert scheme_coefficients(SchemeSpec("single"), 0.25) == (1.0, 1.0, 1.0, 0.0)
+    assert scheme_coefficients(SchemeSpec("two_step"), 0.25) == (0.25, 0.25, 1.75, 0.75)
 
 
 def test_two_step_coefficients_collapse_to_single_at_alpha_one():
-    assert scheme_coefficients("two_step", 1.0) == scheme_coefficients("single", 1.0)
+    assert scheme_coefficients(SchemeSpec("two_step"), 1.0) == scheme_coefficients(SchemeSpec("single"), 1.0)
 
 
-def test_coefficient_table_rejects_unknown_kind():
-    with pytest.raises(ConfigError):
-        scheme_coefficients("both", 0.5)
+@pytest.mark.parametrize("alpha_t", [0.0, 1.5])
+def test_coefficient_table_rejects_alpha_outside_the_unit_interval(alpha_t):
+    with pytest.raises(ConfigError, match=r"alpha_t must be in \(0, 1\]"):
+        scheme_coefficients(SchemeSpec("two_step"), alpha_t)
 
 
 def test_weighted_transmission_flag():
-    assert transmits_weighted_increment("none")
-    assert transmits_weighted_increment("single")
-    assert not transmits_weighted_increment("two_step")
-    with pytest.raises(ConfigError):
-        transmits_weighted_increment("other")
+    assert transmits_weighted_increment(SchemeSpec("none"))
+    assert transmits_weighted_increment(SchemeSpec("single"))
+    assert not transmits_weighted_increment(SchemeSpec("two_step"))
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +68,14 @@ def test_weighted_transmission_flag():
 
 def test_none_scheme_clears_the_error_state():
     state = state_with([2.0, -1.0], [1.0, 1.0], [3.0, 3.0])
-    e = filter_update(state, beta=0.3, alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5, kind="none")
+    e = filter_update(state, SchemeSpec("none", beta=0.3), alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5)
     assert not e.any()
     assert not state.e.any()
 
 
 def test_single_scheme_smooths_the_last_residual():
     state = state_with([1.0, 0.0], [4.0, -2.0], [9.0, 9.0])
-    e = filter_update(state, beta=0.25, alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5, kind="single")
+    e = filter_update(state, SchemeSpec("single", beta=0.25), alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5)
     expected = 0.75 * np.array([1.0, 0.0]) + 0.25 * np.array([4.0, -2.0])
     assert np.array_equal(e, expected)
 
@@ -87,7 +86,7 @@ def test_two_step_scheme_weights_two_residuals():
     d2 = np.array([-1.0, 3.0])
     state = state_with(e0.copy(), d1, d2)
     a_t, a_t1, a_t2 = 0.25, 0.5, 1.0
-    e = filter_update(state, beta=0.4, alpha_t=a_t, alpha_t1=a_t1, alpha_t2=a_t2, kind="two_step")
+    e = filter_update(state, SchemeSpec("two_step", beta=0.4), alpha_t=a_t, alpha_t1=a_t1, alpha_t2=a_t2)
     w1 = (a_t1 / a_t) * (2.0 - a_t)
     w2 = (a_t2 / a_t) * (1.0 - a_t)
     assert np.array_equal(e, 0.6 * e0 + 0.4 * (w1 * d1 - w2 * d2))
@@ -96,9 +95,7 @@ def test_two_step_scheme_weights_two_residuals():
 def test_filter_update_validates_inputs():
     state = CompensationState.zeros(2)
     with pytest.raises(ConfigError):
-        filter_update(state, beta=1.0, alpha_t=0.0, alpha_t1=1.0, alpha_t2=1.0, kind="single")
-    with pytest.raises(ConfigError):
-        filter_update(state, beta=1.0, alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5, kind="nope")
+        filter_update(state, SchemeSpec("single", beta=1.0), alpha_t=0.0, alpha_t1=1.0, alpha_t2=1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,14 +108,14 @@ def test_filter_update_validates_inputs():
 def test_two_step_filter_equals_single_filter_at_alpha_one(beta, e, d1, d2):
     """With a flat unit schedule the t-2 weight vanishes and the t-1 weight
     is one, so both compensation schemes advance the filter identically."""
-    one = filter_update(state_with(e, d1, d2), beta, 1.0, 1.0, 1.0, "single")
-    two = filter_update(state_with(e, d1, d2), beta, 1.0, 1.0, 1.0, "two_step")
+    one = filter_update(state_with(e, d1, d2), SchemeSpec("single", beta), 1.0, 1.0, 1.0)
+    two = filter_update(state_with(e, d1, d2), SchemeSpec("two_step", beta), 1.0, 1.0, 1.0)
     assert np.array_equal(one, two)
 
 
 def test_filter_leaves_residual_buffers_alone():
     state = state_with([0.0, 0.0], [1.0, 2.0], [3.0, 4.0])
-    filter_update(state, beta=0.5, alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5, kind="two_step")
+    filter_update(state, SchemeSpec("two_step", beta=0.5), alpha_t=0.5, alpha_t1=0.5, alpha_t2=0.5)
     assert np.array_equal(state.delta_1, [1.0, 2.0])
     assert np.array_equal(state.delta_2, [3.0, 4.0])
 
@@ -156,7 +153,7 @@ def test_filter_update_matches_the_allocating_formula_bit_for_bit(n, d, kind, se
         e0 = state.e.copy()
         state.delta_2, state.delta_1 = state.delta_1, random_buffer(rng, (n, d))
         expected = allocating_filter(e0, state.delta_1, state.delta_2, beta, *alphas, kind)
-        e = filter_update(state, beta, *alphas, kind)
+        e = filter_update(state, SchemeSpec(kind, beta), *alphas)
         assert e is state.e
         assert e.tobytes() == expected.tobytes(), (kind, step)
 
@@ -168,7 +165,7 @@ def test_filter_update_writes_e_in_place(kind):
     d2 = np.array([[3.0, 3.0], [4.0, 4.0]])
     state = state_with(e, d1.copy(), d2.copy())
     expected = allocating_filter(e.copy(), d1, d2, 0.5, 0.5, 0.5, 0.5, kind)
-    result = filter_update(state, 0.5, 0.5, 0.5, 0.5, kind)
+    result = filter_update(state, SchemeSpec(kind, 0.5), 0.5, 0.5, 0.5)
     assert result is state.e
     assert state.e is e
     assert e.tobytes() == expected.tobytes()
@@ -180,16 +177,16 @@ def test_filter_update_rejects_an_e_it_cannot_write_in_place():
     state = CompensationState.zeros((3, 4))
     state.e = np.zeros((4, 3)).T
     with pytest.raises(ConfigError, match="C-contiguous"):
-        filter_update(state, 0.5, 0.5, 0.5, 0.5, "single")
+        filter_update(state, SchemeSpec("single", 0.5), 0.5, 0.5, 0.5)
     state = CompensationState.zeros((3, 4))
     state.e = np.zeros((3, 8))[:, ::2]
     with pytest.raises(ConfigError, match="C-contiguous"):
-        filter_update(state, 0.5, 0.5, 0.5, 0.5, "none")
+        filter_update(state, SchemeSpec("none", 0.5), 0.5, 0.5, 0.5)
     for field in ("e", "delta_1", "delta_2"):
         state = CompensationState.zeros((3, 4))
         setattr(state, field, np.zeros((4, 3)))
         with pytest.raises(ConfigError, match="shape mismatch"):
-            filter_update(state, 0.5, 0.5, 0.5, 0.5, "two_step")
+            filter_update(state, SchemeSpec("two_step", 0.5), 0.5, 0.5, 0.5)
 
 
 def test_compensate_writes_into_out():

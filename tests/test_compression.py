@@ -225,10 +225,12 @@ def test_message_bits_frozen_values():
     assert message_bits(CompressorSpec("identity"), 10) == 640
 
 
-def test_message_bits_clamps_k_and_rejects_bad_dim():
-    assert message_bits(CompressorSpec("top_k", k=50), 10) == message_bits(
-        CompressorSpec("top_k", k=10), 10
-    )
+@pytest.mark.parametrize("kind", ["top_k", "rand_k"])
+def test_message_bits_rejects_k_above_dim_and_bad_dim(kind):
+    assert message_bits(CompressorSpec(kind, k=10), 10) == 10 * (64 + 4)
+    with pytest.raises(ConfigError) as err:
+        message_bits(CompressorSpec(kind, k=11), 10)
+    assert err.value.field == "k"
     with pytest.raises(ConfigError):
         message_bits(CompressorSpec("identity"), 0)
 

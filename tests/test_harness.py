@@ -25,6 +25,7 @@ from gradcomp import (
     ProblemSpec,
     RunConfig,
     SchemeSpec,
+    VerificationError,
     run,
 )
 from gradcomp.harness import (
@@ -532,6 +533,7 @@ UNUSABLE = (  # (command, config text, dotted path the error names)
      "compare.variants.b.compressor.k"),
     ("compare", "compare: {base: {steps: 2}, variants: {a: {}, b: {steps: 1000000000000}}}",
      "compare.variants.b.steps"),
+    ("compare", "compare: {base: {steps: 2}, variants: {a: 5}}", "compare.variants.a"),
     ("sweep", "sweep: {base: {steps: 10}, gammas: [0.1], c0s: [0.5, 1.0e+308]}",
      "sweep.gamma_0.1_c0_1e+308.schedule.c0"),
     ("sweep", "sweep: {base: {steps: 1000000000000}, gammas: [0.1]}", "sweep.gamma_0.1.steps"),
@@ -656,6 +658,28 @@ def test_cli_verify_maps_outcomes_to_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()
 
+    monkeypatch.undo()
+
+    def diverging(config):
+        raise DivergenceError(7, run(dataclasses.replace(config, steps=2)))
+
+    monkeypatch.setattr(harness, "run", diverging)
+    assert main(["verify", "--out", str(tmp_path / "d")]) == 3
+    assert capsys.readouterr().err == "unexpected divergence at step 7\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_verify_reports_a_cell_whose_identity_check_fails(monkeypatch, capsys):
+    def failing(trace):
+        raise VerificationError("stub identity failure")
+
+    monkeypatch.setattr(harness, "verify_residual_identity", failing)
+    assert main(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "residual_identity[none,a=0.1,n=1,one_bit] FAIL stub identity failure" in lines
+    assert sum(" FAIL stub identity failure" in line for line in lines) == 36
+    assert "c2_sign_resolution FAIL resolved signs [] (expected" in "\n".join(lines)
+
 
 def test_verify_suite_passes_every_check():
     """The real suite, not a stub.  Its {:.3e} error digits are BLAS rounding
@@ -708,6 +732,23 @@ compare:
     gap = float(summary["identity_control.log10_grad_gap_vs_uncompressed"])
     assert gap == 0.0
     assert "quantized.log10_grad_gap_vs_uncompressed" in summary
+
+
+def test_cli_compare_merges_a_variant_into_the_nested_base(tmp_path, capsys):
+    """A variant that overrides one key of the base's problem keeps the
+    base's other problem keys; a shallow merge would drop them."""
+    problem = "{kind: lin_reg, dim: %d, n_samples: 64, batch_size: 2, seed: 1}"
+    compare = write_config(tmp_path, f"""
+compare:
+  base: {{steps: 6, problem: {problem % 20}}}
+  variants: {{narrow: {{problem: {{dim: 10}}}}}}
+""")
+    merged = write_config(tmp_path, f"run: {{steps: 6, problem: {problem % 10}}}\n", "run.yaml")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", compare, "--out", str(out)]) == 0
+    assert main(["run", "--config", merged, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert (out / "metrics_narrow.csv").read_bytes() == (tmp_path / "run" / "metrics.csv").read_bytes()
 
 
 def test_cli_compare_flags_unexpected_divergence(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_closed_form_matches_hand_expanded_sums():
     )
     # single compensation (eta1 = eta2 = c1 = 1, c2 = 0), then two-step
     # compensation with the plus sign on the c2 term, at every step t
-    for coefficients in ((1.0, 1.0, 1.0, 0.0), scheme_coefficients("two_step", alpha_c)):
+    for coefficients in ((1.0, 1.0, 1.0, 0.0), scheme_coefficients(SchemeSpec("two_step"), alpha_c)):
         rows = list(residual_closed_form(d, *coefficients, alpha_c, gamma))
         assert len(rows) == d.shape[0] + 1
         for t, got in enumerate(rows):
@@ -131,7 +131,7 @@ def test_every_closed_form_row_matches_the_hand_expanded_sums(kind, c2_sign):
     alpha_c, gamma, steps = 0.3, 0.05, 40
     d = np.random.default_rng(5).standard_normal((steps, 6))
     d[0] = 0.0  # the uncompressed warm-start step leaves no residual
-    coefficients = scheme_coefficients(kind, alpha_c)
+    coefficients = scheme_coefficients(SchemeSpec(kind), alpha_c)
     rows = list(residual_closed_form(d, *coefficients, alpha_c, gamma, c2_sign=c2_sign))
     assert len(rows) == steps + 1
     assert not rows[0].any() and not rows[1].any()
@@ -187,6 +187,19 @@ def test_two_step_sign_is_inert_at_alpha_one():
     report = verify_residual_identity(small_run("two_step", alpha_c=1.0))
     assert report.passed()
     assert report.resolved_sign is None
+
+
+def test_a_flipped_c2_convention_resolves_the_minus_sign(monkeypatch):
+    original = oracle.residual_closed_form
+
+    def flipped(*args, c2_sign=1):
+        return original(*args, c2_sign=-c2_sign)
+
+    monkeypatch.setattr(oracle, "residual_closed_form", flipped)
+    report = verify_residual_identity(small_run("two_step", alpha_c=0.5))
+    assert report.resolved_sign == -1
+    assert report.max_rel_error == report.max_rel_error_minus < 1e-9
+    assert report.max_rel_error_plus > report.tolerance
 
 
 def test_identity_failure_raises():
@@ -306,6 +319,9 @@ def test_comparison_reports_diverged_entries():
     comparison = residual_sum_comparison(traces)
     assert comparison.diverged == {"two_step": False, "none": True}
     assert "none" not in comparison.sums
+    # A diverged two_step run has no gaps, so its bound cannot hold.
+    without = residual_sum_comparison({"single": small_run("single"), "two_step": None})
+    assert not without.ecx_per_step_bound_ok()
 
 
 def test_comparison_needs_something_to_compare():

@@ -1,5 +1,7 @@
 """Problem zoo tests: gradients, designed conditioning, sharding, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def test_dataset_problems_need_enough_samples():
         ProblemSpec(kind="log_reg", dim=4, n_samples=16, condition=0.5)
 
 
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"dim": 0}, "dim"),
+        ({"noise_std": -0.1}, "noise_std"),
+        ({"l2_reg": -0.1}, "l2_reg"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_spec_rejects_out_of_range_values_by_field(changes, field):
+    with pytest.raises(ConfigError) as excinfo:
+        dataclasses.replace(LIN, **changes)
+    assert excinfo.value.field == field
+
+
 def test_handle_rejects_negative_fields():
     with pytest.raises(ConfigError):
         SampleHandle(t=-1, worker=0)
@@ -106,6 +124,13 @@ def test_lin_reg_minimizer_zeroes_the_gradient():
     g = full_grad(problem, minimizer)
     assert np.linalg.norm(g) < 1e-10
     assert loss(problem, minimizer) <= loss(problem, np.ones(LIN.dim))
+
+
+def test_log_reg_smoothness_is_a_quarter_of_the_gram_norm_plus_the_ridge():
+    problem = make_problem(LOG)
+    gram = problem.x_mat.T @ problem.x_mat / LOG.n_samples
+    expected = np.linalg.eigvalsh(gram).max() / 4.0 + LOG.l2_reg
+    assert problem.smoothness() == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_reg_labels_are_signs_and_loss_is_regularized():
@@ -332,13 +357,10 @@ def test_minibatch_positions_are_uniform_over_an_odd_sized_shard():
     assert statistic < 67.985
 
 
-def test_empty_shard_is_rejected():
-    problem = make_problem(LIN)
-    empty = Shard(worker=0, indices=np.empty(0, dtype=np.int64))
-    with pytest.raises(ConfigError):
-        minibatch_indices(problem, empty, SampleHandle(t=0, worker=0))
-    with pytest.raises(ConfigError):
-        variance_sigma2(problem, empty, np.ones(6), trials=2)
+def test_empty_shard_is_rejected_when_it_is_built():
+    with pytest.raises(ConfigError, match="worker 1 has an empty shard"):
+        Shard(worker=1, indices=np.empty(0, dtype=np.int64))
+    assert Shard(worker=1, indices=None).size() == 0
 
 
 def test_fleet_minibatches_match_the_per_handle_draws_across_blocks(monkeypatch):
@@ -363,10 +385,6 @@ def test_fleet_minibatches_match_the_per_handle_draws_across_blocks(monkeypatch)
                 handle = SampleHandle(t=t, worker=i, draw=0, salt=salt)
                 assert np.array_equal(block[t - t0, i], minibatch_indices(problem, shard, handle))
 
-    problem = make_problem(LIN)
-    shards = partition_data(problem, 2, seed=1)
-    with pytest.raises(ConfigError):
-        fleet_minibatches(problem, [shards[0], Shard(worker=1, indices=np.empty(0, np.int64))], 0, 2)
     quad = make_problem(QUAD)
     assert fleet_minibatches(quad, partition_data(quad, 2, seed=0), 4, 7).shape == (3, 2, 0)
 

@@ -1,6 +1,7 @@
 """Keyed RNG tests: the vectorised replica matches the scalar generator bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,19 @@ def test_keyed_integers_equals_the_scalar_generator_row_by_row(seed, n_keys, siz
     for j in range(m):
         expected = keyed_generator(seed, *keys[j]).integers(0, high[j], size=size)
         assert np.array_equal(out[j], expected)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: keyed_generator(-1, STREAM_SAMPLE),
+        lambda: keyed_integers(-1, np.zeros((2, 3), dtype=np.int64), np.full(2, 5), 4),
+    ],
+    ids=["keyed_generator", "keyed_integers"],
+)
+def test_a_negative_seed_is_rejected(draw):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        draw()
 
 
 def test_keyed_integers_uses_the_scalar_generator_only_for_rejections(monkeypatch):

@@ -211,7 +211,7 @@ def test_aggregated_update_identity(kind):
     )
     trace = run(config)
     hist = trace.history
-    eta1, eta2, _, _ = scheme_coefficients(kind, alpha_c)
+    eta1, eta2, _, _ = scheme_coefficients(config.scheme, alpha_c)
     worst = 0.0
     for t in range(1, trace.t_effective):
         predicted = (
@@ -617,6 +617,7 @@ def test_a_dataset_larger_than_physical_memory_is_rejected_before_allocating(mon
         ({"compressor": CompressorSpec("top_k", k=9)}, "compressor.k"),
         ({"server_compressor": CompressorSpec("rand_k", k=9)}, "server_compressor.k"),
         ({"n_workers": 65}, "n_workers"),
+        ({"n_workers": 0}, "n_workers"),
         ({"schedule": AlphaSchedule("inverse_linear", c0=1e308), "steps": 3}, "schedule.c0"),
         ({"heterogeneity": 2.0}, "heterogeneity"),
         ({"heterogeneity": -0.5}, "heterogeneity"),

@@ -17,6 +17,7 @@ import itertools
 import pytest
 
 from gradcomp import AlphaSchedule, CompressorSpec, ProblemSpec, RunConfig, SchemeSpec, ghost_run, run
+from test_simulator import trace_bytes
 
 PROBLEM = ProblemSpec(kind="quadratic", spectrum=(1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005))
 COMPRESSORS = {
@@ -377,3 +378,154 @@ def ghost_digest(compressor: str, scheme: str, estimator: str, n: int) -> str:
 @pytest.mark.parametrize("compressor, scheme, estimator, n", GHOST_GRID, ids=[name(*cell) for cell in GHOST_GRID])
 def test_ghost_digest_is_pinned(compressor, scheme, estimator, n):
     assert ghost_digest(compressor, scheme, estimator, n) == PINNED_GHOSTS[name(compressor, scheme, estimator, n)]
+
+
+# Dataset problems, which the quadratic grid above never reaches: the
+# minibatch draws, the stacked grad_at and the warm start through
+# stoch_grad.  These arrays do go through BLAS and LAPACK (the designed
+# matrix's SVD and every matrix product), so the digests hold for the numpy
+# build they were pinned with, which the quadratic digests do not need.
+DATASETS = {
+    "lin_reg": ProblemSpec(kind="lin_reg", dim=8, n_samples=64, noise_std=0.1, batch_size=3, seed=5),
+    "log_reg": ProblemSpec(kind="log_reg", dim=8, n_samples=64, l2_reg=0.05, batch_size=3, seed=5),
+}
+DATASET_GRID = list(
+    itertools.product(DATASETS, ("none", "single", "two_step"), ("one_bit", "top_k", "rand_k"),
+                      ("momentum", "storm"), (1, 4))
+)
+# Two quadratics the grid above does not reach: one_bit at a width past
+# compression.SIGN_TILE, which signs each row in column tiles, and a warm
+# start of three draws, which goes through stoch_grad.
+WIDE = ProblemSpec(kind="quadratic", spectrum=(1.0, 0.5, 0.2, 0.1) * 10_000)
+QUADRATIC_CASES = {
+    "quadratic/one_bit/d40000": dict(problem=WIDE, n_workers=2, steps=10),
+    "quadratic/one_bit/b0_3": dict(problem=PROBLEM, n_workers=3, steps=30, b0=3),
+}
+
+# name -> sha256 of test_simulator.trace_bytes of the run, first 16 hex digits.
+PINNED_DATASETS = {
+    "lin_reg/none/one_bit/momentum/n1": "c36417f3cf5694c4",
+    "lin_reg/none/one_bit/momentum/n4": "e541a7c158e6e85c",
+    "lin_reg/none/one_bit/storm/n1": "08bfc9e1b0641d7f",
+    "lin_reg/none/one_bit/storm/n4": "7273e183a92a87d8",
+    "lin_reg/none/top_k/momentum/n1": "a92e9129713a8a75",
+    "lin_reg/none/top_k/momentum/n4": "14ca13fa074c49ff",
+    "lin_reg/none/top_k/storm/n1": "38ac02943d5a3b25",
+    "lin_reg/none/top_k/storm/n4": "940d65f721a74b19",
+    "lin_reg/none/rand_k/momentum/n1": "634b8f2ffbbe0f05",
+    "lin_reg/none/rand_k/momentum/n4": "5d8f904681d6ea5f",
+    "lin_reg/none/rand_k/storm/n1": "06ab4188650ae446",
+    "lin_reg/none/rand_k/storm/n4": "a6d4dba8cc1ed48f",
+    "lin_reg/single/one_bit/momentum/n1": "a4de5dc7fce85f03",
+    "lin_reg/single/one_bit/momentum/n4": "32511a8ba0458298",
+    "lin_reg/single/one_bit/storm/n1": "1f1cee500e5e6ba9",
+    "lin_reg/single/one_bit/storm/n4": "1a426c2a42f03e64",
+    "lin_reg/single/top_k/momentum/n1": "551ade9f95b0a545",
+    "lin_reg/single/top_k/momentum/n4": "0367c3ed1771a9e5",
+    "lin_reg/single/top_k/storm/n1": "cfde123bc237b1dc",
+    "lin_reg/single/top_k/storm/n4": "8fb6acd705788a8b",
+    "lin_reg/single/rand_k/momentum/n1": "d48f68926c7c64fc",
+    "lin_reg/single/rand_k/momentum/n4": "a3fe9b72c11faa09",
+    "lin_reg/single/rand_k/storm/n1": "e774354925bf3498",
+    "lin_reg/single/rand_k/storm/n4": "6bec6f80f6c74346",
+    "lin_reg/two_step/one_bit/momentum/n1": "ec58333f4bbf09d8",
+    "lin_reg/two_step/one_bit/momentum/n4": "5d2eb99313683cd5",
+    "lin_reg/two_step/one_bit/storm/n1": "9c658172fdf6b7d3",
+    "lin_reg/two_step/one_bit/storm/n4": "bc7ff72f256eb07f",
+    "lin_reg/two_step/top_k/momentum/n1": "1a1b6defa2a0a428",
+    "lin_reg/two_step/top_k/momentum/n4": "d7d8c2a7bf96c70d",
+    "lin_reg/two_step/top_k/storm/n1": "1e0a7425558900a5",
+    "lin_reg/two_step/top_k/storm/n4": "658b13dc5bca5b2d",
+    "lin_reg/two_step/rand_k/momentum/n1": "055c75abf3bc01ca",
+    "lin_reg/two_step/rand_k/momentum/n4": "00504befa3ac50e3",
+    "lin_reg/two_step/rand_k/storm/n1": "9898df9cc3e258e5",
+    "lin_reg/two_step/rand_k/storm/n4": "1468c7f5c930710d",
+    "log_reg/none/one_bit/momentum/n1": "48b05c932746da23",
+    "log_reg/none/one_bit/momentum/n4": "3540e370a0746821",
+    "log_reg/none/one_bit/storm/n1": "7be7477ca080619a",
+    "log_reg/none/one_bit/storm/n4": "96a7d6cf0ade2634",
+    "log_reg/none/top_k/momentum/n1": "6623a5a6c5d6eb2d",
+    "log_reg/none/top_k/momentum/n4": "c8297eecb27fb15d",
+    "log_reg/none/top_k/storm/n1": "84c6493c773ba349",
+    "log_reg/none/top_k/storm/n4": "556763ff2db3af52",
+    "log_reg/none/rand_k/momentum/n1": "c91fe6a81f3869d3",
+    "log_reg/none/rand_k/momentum/n4": "caa6702f354f073e",
+    "log_reg/none/rand_k/storm/n1": "730ad246940164e9",
+    "log_reg/none/rand_k/storm/n4": "61bb53ecc5ad6dda",
+    "log_reg/single/one_bit/momentum/n1": "67356bee2e598c0c",
+    "log_reg/single/one_bit/momentum/n4": "b5fa1cc5fad9ac85",
+    "log_reg/single/one_bit/storm/n1": "6951c2e51fee90bb",
+    "log_reg/single/one_bit/storm/n4": "45b59023788ec16a",
+    "log_reg/single/top_k/momentum/n1": "ab0b2c8cdb4721ea",
+    "log_reg/single/top_k/momentum/n4": "a4dc516cf988140a",
+    "log_reg/single/top_k/storm/n1": "101290fa253c5109",
+    "log_reg/single/top_k/storm/n4": "5fbc3db315a8c432",
+    "log_reg/single/rand_k/momentum/n1": "e4ef9a85f46dd375",
+    "log_reg/single/rand_k/momentum/n4": "565f1f3a6574352d",
+    "log_reg/single/rand_k/storm/n1": "79e95416d1d3dc2d",
+    "log_reg/single/rand_k/storm/n4": "a0894cc56dc460d2",
+    "log_reg/two_step/one_bit/momentum/n1": "a7a453a3abb9efd8",
+    "log_reg/two_step/one_bit/momentum/n4": "b066585216cfce7c",
+    "log_reg/two_step/one_bit/storm/n1": "cb843c991cb3b048",
+    "log_reg/two_step/one_bit/storm/n4": "bdb7a674b34f46db",
+    "log_reg/two_step/top_k/momentum/n1": "bf52cff45e5bff1f",
+    "log_reg/two_step/top_k/momentum/n4": "46e0e00bfcf57766",
+    "log_reg/two_step/top_k/storm/n1": "9604a138c4f32fb9",
+    "log_reg/two_step/top_k/storm/n4": "f4be80cf1bbae962",
+    "log_reg/two_step/rand_k/momentum/n1": "bf6abade84a5d478",
+    "log_reg/two_step/rand_k/momentum/n4": "fa941686776c4eaf",
+    "log_reg/two_step/rand_k/storm/n1": "86db9534cd40a837",
+    "log_reg/two_step/rand_k/storm/n4": "0d1c7a289e0cdf47",
+    "quadratic/one_bit/d40000": "212a884c0e993fad",
+    "quadratic/one_bit/b0_3": "233c0fe91382392c",
+}
+
+
+def dataset_name(kind, scheme, compressor, estimator, n) -> str:
+    return f"{kind}/{scheme}/{compressor}/{estimator}/n{n}"
+
+
+def trace_digest(config: RunConfig) -> str:
+    sha = hashlib.sha256()
+    for chunk in trace_bytes(run(config)):
+        sha.update(chunk)
+    return sha.hexdigest()[:16]
+
+
+def dataset_config(kind, scheme, compressor, estimator, n) -> RunConfig:
+    return RunConfig(
+        problem=DATASETS[kind],
+        estimator=estimator,
+        schedule=SCHEDULES[estimator],
+        scheme=SchemeSpec(scheme, beta=0.4),
+        compressor=COMPRESSORS[compressor],
+        n_workers=n,
+        steps=30,
+        gamma=0.05,
+        b0=2,
+        seed=11,
+        record_history=True,
+    )
+
+
+def quadratic_config(**changes) -> RunConfig:
+    return RunConfig(
+        estimator="momentum",
+        schedule=SCHEDULES["momentum"],
+        scheme=SchemeSpec("two_step", beta=0.4),
+        compressor=COMPRESSORS["one_bit"],
+        gamma=0.3,
+        seed=11,
+        record_history=True,
+        **changes,
+    )
+
+
+@pytest.mark.parametrize("cell", DATASET_GRID, ids=[dataset_name(*cell) for cell in DATASET_GRID])
+def test_dataset_digest_is_pinned(cell):
+    assert trace_digest(dataset_config(*cell)) == PINNED_DATASETS[dataset_name(*cell)]
+
+
+@pytest.mark.parametrize("case", QUADRATIC_CASES)
+def test_quadratic_case_digest_is_pinned(case):
+    assert trace_digest(quadratic_config(**QUADRATIC_CASES[case])) == PINNED_DATASETS[case]
