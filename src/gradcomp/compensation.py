@@ -33,10 +33,11 @@ in which all three schemes are written at the v-update level:
 with eta1 = eta2 = 1 for none/single (undamped error) and eta1 = eta2 = a_t
 for two_step (damped error).
 
-Buffer ownership.  filter_update writes the new e_t over the old one, tile
-by tile: each tile of e is read before it is written, so the result is the
-same bits as the allocating expression above.  It returns state.e itself,
-so a caller that keeps an e across a later call must copy it.  The
+Buffer ownership.  filter_update writes the new e_t over the old one: in
+one pass when the state holds at most FILTER_TILE elements, and tile by
+tile otherwise.  Each tile of e is read before it is written, so the result
+is the same bits as the allocating expression above.  It returns state.e
+itself, so a caller that keeps an e across a later call must copy it.  The
 residual buffers are never written here; shift_deltas only rebinds them.
 compensate writes into out when one is given (out may be the message
 itself) and otherwise returns a new array.
@@ -116,6 +117,19 @@ def transmits_weighted_increment(scheme: SchemeSpec) -> bool:
     return scheme.kind in ("none", "single")
 
 
+def _filter_tile(kind, beta, w1, w2, e, delta_1, delta_2, s1, s2) -> None:
+    """The filter's arithmetic on one tile, writing e in place; s1 and s2 are scratch."""
+    if kind == "single":
+        np.multiply(delta_1, beta, out=s1)
+    else:
+        np.multiply(delta_1, w1, out=s1)
+        np.multiply(delta_2, w2, out=s2)
+        np.subtract(s1, s2, out=s1)
+        np.multiply(s1, beta, out=s1)
+    np.multiply(e, 1.0 - beta, out=s2)
+    np.add(s2, s1, out=e)
+
+
 def filter_update(
     state: CompensationState,
     scheme: SchemeSpec,
@@ -125,58 +139,44 @@ def filter_update(
 ) -> np.ndarray:
     """Advance scheme's low-pass filter in place and return state.e, now e_t.
 
-    scheme gives the kind and beta; SchemeSpec has checked both.  The
-    residual buffers are left untouched; they shift only after the node
-    compressed its message (shift_deltas).  Every element goes through the
-    same float operations, in the same order, as the expression in the
-    module docstring: w1*delta_1, w2*delta_2, their difference, times beta,
-    then (1-beta)*e added to it.
+    scheme gives the kind and beta; SchemeSpec has checked both, and the
+    run's schedule that alpha_t > 0.  The state is the one
+    CompensationState.zeros built, so its three arrays are C-contiguous and
+    of one shape.  The residual buffers are left untouched; they shift only
+    after the node compressed its message (shift_deltas).  Every element
+    goes through the same float operations, in the same order, as the
+    expression in the module docstring: w1*delta_1, w2*delta_2, their
+    difference, times beta, then (1-beta)*e added to it.  A state of at most
+    FILTER_TILE elements is filtered in one pass, a larger one in tiles of
+    FILTER_TILE elements.
     """
-    if alpha_t <= 0.0:
-        raise ConfigError(f"alpha_t must be positive, got {alpha_t}")
     e = state.e
-    if not e.flags.c_contiguous:
-        raise ConfigError("filter_update writes e in place, so e must be C-contiguous")
-    if not e.shape == state.delta_1.shape == state.delta_2.shape:
-        raise ConfigError(
-            f"shape mismatch: e {e.shape}, delta_1 {state.delta_1.shape}, "
-            f"delta_2 {state.delta_2.shape}"
-        )
     kind, beta = scheme.kind, scheme.beta
     if kind == "none":
         e.fill(0.0)
         return e
-    keep = 1.0 - beta
+    w1 = w2 = None
     if kind == "two_step":
         w1 = (alpha_t1 / alpha_t) * (2.0 - alpha_t)
         w2 = (alpha_t2 / alpha_t) * (1.0 - alpha_t)
-    tiles = [(e, state.delta_1, state.delta_2)]
-    if e.size > FILTER_TILE:
-        flat = [a.reshape(-1) for a in tiles[0]]
-        tiles = [[a[lo : lo + FILTER_TILE] for a in flat] for lo in range(0, e.size, FILTER_TILE)]
-    shape = tiles[0][0].shape
-    buffers = np.empty(shape), np.empty(shape)
-    for out, d1, d2 in tiles:
-        s1, s2 = (b[: len(out)] for b in buffers)
-        if kind == "single":
-            np.multiply(d1, beta, out=s1)
-        else:
-            np.multiply(d1, w1, out=s1)
-            np.multiply(d2, w2, out=s2)
-            np.subtract(s1, s2, out=s1)
-            np.multiply(s1, beta, out=s1)
-        np.multiply(out, keep, out=s2)
-        np.add(s2, s1, out=out)
+    if e.size <= FILTER_TILE:
+        _filter_tile(kind, beta, w1, w2, e, state.delta_1, state.delta_2, np.empty(e.shape),
+                     np.empty(e.shape))
+        return e
+    flat = [a.reshape(-1) for a in (e, state.delta_1, state.delta_2)]
+    scratch = np.empty(FILTER_TILE), np.empty(FILTER_TILE)
+    for lo in range(0, e.size, FILTER_TILE):
+        tile = [a[lo : lo + FILTER_TILE] for a in flat]
+        _filter_tile(kind, beta, w1, w2, *tile, *(s[: len(tile[0])] for s in scratch))
     return e
 
 
 def compensate(message: np.ndarray, e_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The compensated message: what actually gets compressed.
 
-    With out given (it may be message itself), the sum is written there.
+    message and e_t have one shape.  With out given (it may be message
+    itself), the sum is written there.
     """
-    if message.shape != e_t.shape:
-        raise ConfigError(f"shape mismatch: message {message.shape} vs error {e_t.shape}")
     return np.add(message, e_t, out=out)
 
 

@@ -29,11 +29,12 @@ other buffer with a ConfigError; ``compressed`` may be the input itself, so
 a fleet's messages can be compressed in place, but ``residual`` must share
 no memory with either.  identity and one_bit work on the whole stack at
 once: one_bit sums every row's magnitudes in one reduction over the row
-axis (each row in the pairwise order of a lone sum) and signs the stack in
-tiles of at most SIGN_TILE elements, so its temporaries do not grow with m
-or d.  top_k, rand_k and stoch_quant compress the rows one after another.
-Every kind reads a row in full, or one tile of it, before it writes that
-part of ``compressed``.  Both ways run the same float operations on every
+axis (each row in the pairwise order of a lone sum).  A stack of at most
+SIGN_TILE elements it signs in one call; a larger one in tiles of at most
+SIGN_TILE elements, so its temporaries do not grow with m or d.  top_k,
+rand_k and stoch_quant compress the rows one after another.  Every kind
+reads a row in full, or one tile of it, before it writes that part of
+``compressed``.  Both ways run the same float operations on every
 coordinate, so their results are bitwise equal.
 """
 
@@ -208,8 +209,6 @@ def compress(
     """
     x = _check_input(x)
     d = x.shape[-1]
-    if spec.kind in ("top_k", "rand_k") and spec.k > d:
-        raise ConfigError(f"compressor k={spec.k} exceeds vector dimension {d}")
     if out is None:
         compressed, residual = np.empty(x.shape), np.empty(x.shape)
     else:
@@ -234,14 +233,18 @@ def compress(
         np.abs(xs, out=rs)
         # A reduction over the last axis of a C-contiguous stack sums each
         # row pairwise, as a lone row's sum does.
-        scale = rs.sum(axis=1, keepdims=True) / d
-        # Tiles of at most SIGN_TILE elements: blocks of whole rows, or
-        # slices of one row when a row is wider than a tile.
-        block, width = max(1, SIGN_TILE // d), min(d, SIGN_TILE)
-        for lo in range(0, m, block):
-            for left in range(0, d, width):
-                tile = slice(lo, lo + block), slice(left, left + width)
-                _emit_signed(xs[tile], scale[tile[0]], cs[tile], rs[tile])
+        scale = np.add.reduce(rs, axis=1, keepdims=True)
+        np.divide(scale, d, out=scale)
+        if xs.size <= SIGN_TILE:
+            _emit_signed(xs, scale, cs, rs)
+        else:
+            # Tiles of at most SIGN_TILE elements: blocks of whole rows, or
+            # slices of one row when a row is wider than a tile.
+            block, width = max(1, SIGN_TILE // d), min(d, SIGN_TILE)
+            for lo in range(0, m, block):
+                for left in range(0, d, width):
+                    tile = slice(lo, lo + block), slice(left, left + width)
+                    _emit_signed(xs[tile], scale[tile[0]], cs[tile], rs[tile])
     else:
         for j in range(m):
             _compress_row(xs[j], spec, step, node_id + j, cs[j], rs[j])

@@ -127,9 +127,9 @@ class Estimator:
         """Inner estimate a_t at x_t; pure given the oracle, reads x_prev only.
 
         sample may be a stack of minibatches; see the module docstring.
+        alpha_t > 0 is the schedule's own guarantee (AlphaSchedule and
+        RunConfig check it), so it is not checked again here.
         """
-        if alpha_t <= 0.0:
-            raise ConfigError(f"alpha_t must be positive, got {alpha_t}")
         if self.kind in ("sgd", "momentum"):
             return grad(x_t, sample)
         if self.kind in ("storm", "root_sgd"):
@@ -189,12 +189,9 @@ def init_v0(x0: np.ndarray, b0: int, grad, n_workers: int = 1) -> np.ndarray:
     draws are added in draw order into one buffer, which is how numpy
     reduces the rows of a (b0, d) stack.  A one-coordinate stack is one
     contiguous column, which numpy sums pairwise from 0.0, so for d = 1 the
-    draws are streamed through that pairwise order instead.
+    draws are streamed through that pairwise order instead.  b0 and
+    n_workers are at least 1, as RunConfig admits them.
     """
-    if b0 < 1:
-        raise ConfigError(f"b0 must be >= 1, got {b0}")
-    if n_workers < 1:
-        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
     draws = (grad(x0, SampleHandle(t=0, worker=j % n_workers, draw=j)) for j in range(b0))
     first = next(draws)
     if first.size == 1:

@@ -26,9 +26,20 @@ into a plain and a decayed running sum of the combined D,
     Q_t = Q_{t-1} + D_{t-1},    H_t = (1-a) (H_{t-1} + D_{t-1}),    Q_0 = H_0 = 0,
     x_t - xhat_t = (gamma/a) * (Q_t - H_t),
 
-so the predictions for t = 0, 1, ..., T come out of one forward pass with
-O(d) state.  Summing D rather than its three terms keeps Q bounded when the
-terms nearly cancel, as they do under the two-step filter.
+so the predictions for t = 0, 1, ..., T come out of one forward pass.
+Summing D rather than its three terms keeps Q bounded when the terms nearly
+cancel, as they do under the two-step filter.
+
+The pass reads the history in blocks of rows that hold at most BLOCK
+elements (one row when d is larger), so its state is O(d) whatever the
+horizon.  Only the recurrences that mix a product into a sum step row by
+row: the ghost's u and the decayed sum H.  A block's D (for one c2 sign),
+the ghost's pulls a_t * b_t, the plain sums (the ghost's x_hat, one
+np.subtract.accumulate of gamma * u_{t-1} down from the carried x_hat, and
+Q, one np.add.accumulate with the carried Q added into the first row) and
+the predictions are each one array operation on the block.  Every element
+goes through the float operations of the row-by-row recursion, so the
+results have its bits.
 
 The sign on the c2 term is not taken on faith: verify_residual_identity
 evaluates both choices against the brute-force ghost difference and reports
@@ -54,6 +65,9 @@ from .simulator import RunConfig, RunTrace, build_context
 
 # Guard against division by zero when a residual trace is identically zero.
 _TINY = 1e-30
+# Most elements in one block of history rows that the forward pass reads at
+# once (but at least one row); see the module docstring.
+BLOCK = 2**12
 
 
 @dataclass
@@ -77,33 +91,61 @@ class GhostTrace:
         return np.concatenate([gaps, final], axis=0)
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-d float64 vector, bit for bit: sqrt(v.dot(v))."""
+    return math.sqrt(v.dot(v))
+
+
 def _require_history(trace: RunTrace) -> None:
     if trace.history is None:
         raise ConfigError("this analysis needs a run recorded with record_history=True")
 
 
-def _ghost_steps(trace: RunTrace):
-    """The ghost recursion with O(d) state: yields (u_t, x_hat_t) for every
-    history row t, then the final x_hat."""
+def _ghost_blocks(trace: RunTrace):
+    """The ghost recursion with O(d) state: yields (u, x_hat) for each block
+    of history rows in order, row 0 alone first, then the final x_hat.
+
+    A block's rows live in buffers the next block overwrites, so a caller
+    uses them before it asks for the next.  Only u_t steps row by row.  A
+    block's pulls a_t * b_t are one product of the column of a_t with the
+    block of a_bar, and its x_hat one np.subtract.accumulate down the
+    carried x_hat and gamma * u_{t-1}: elementwise the products and
+    differences a row would make.
+    """
     hist = trace.history
     schedule = trace.config.schedule
     gamma = trace.config.gamma
-    u, x_hat = trace.v0, trace.x0
-    yield u, x_hat
-    for t in range(1, hist.x.shape[0]):
-        a_t = schedule.at(t)
-        x_hat = x_hat - gamma * u
-        u = (1.0 - a_t) * u + a_t * hist.a_bar[t]
-        yield u, x_hat
-    yield x_hat - gamma * u
+    steps, dim = hist.x.shape
+    rows = max(1, BLOCK // dim)
+    # Row 0 carries u_{lo-1} and x_hat_{lo-1} into the block starting at lo.
+    u, x_hat = np.empty((2, min(rows, steps) + 1, dim))
+    u[0], x_hat[0] = trace.v0, trace.x0
+    yield u[:1], x_hat[:1]
+    for lo in range(1, steps, rows):
+        alphas = [schedule.at(t) for t in range(lo, min(lo + rows, steps))]
+        k = len(alphas)
+        np.multiply(np.array(alphas)[:, None], hist.a_bar[lo : lo + k], out=u[1 : k + 1])
+        # The x_hat rows are scratch until the block's x_hat is written.
+        for a_t, prev, pull, scratch in zip(alphas, u, u[1:], x_hat[1:]):
+            np.add(np.multiply(prev, 1.0 - a_t, out=scratch), pull, out=pull)
+        np.multiply(u[:k], gamma, out=x_hat[1 : k + 1])
+        np.subtract.accumulate(x_hat[: k + 1], axis=0, out=x_hat[: k + 1])
+        yield u[1 : k + 1], x_hat[1 : k + 1]
+        u[0], x_hat[0] = u[k], x_hat[k]
+    yield x_hat[0] - gamma * u[0]
 
 
 def _ghost_gaps(trace: RunTrace):
-    """Yields x_t - xhat_t for every history row, then final_x - final_x_hat."""
-    walk = _ghost_steps(trace)
-    for x_t, (_, x_hat) in zip(trace.history.x, walk):
-        yield x_t - x_hat
-    yield trace.final_x - next(walk)
+    """Yields x_t - xhat_t for each block of history rows, then
+    final_x - final_x_hat as a block of one row."""
+    walk = _ghost_blocks(trace)
+    x = trace.history.x
+    lo = 0
+    while lo < len(x):
+        _, x_hat = next(walk)
+        yield x[lo : lo + len(x_hat)] - x_hat
+        lo += len(x_hat)
+    yield (trace.final_x - next(walk))[None]
 
 
 def ghost_gap_norms(trace: RunTrace):
@@ -116,8 +158,9 @@ def ghost_gap_norms(trace: RunTrace):
     through dot, whose sum differs).
     """
     _require_history(trace)
-    for gap in _ghost_gaps(trace):
-        yield math.sqrt(np.add.reduce(gap * gap))
+    for gaps in _ghost_gaps(trace):
+        for square in gaps * gaps:
+            yield math.sqrt(np.add.reduce(square))
 
 
 def ghost_run(trace: RunTrace) -> GhostTrace:
@@ -125,9 +168,12 @@ def ghost_run(trace: RunTrace) -> GhostTrace:
     _require_history(trace)
     u = np.zeros_like(trace.history.x)
     x_hat = np.zeros_like(trace.history.x)
-    walk = _ghost_steps(trace)
-    for t in range(u.shape[0]):
-        u[t], x_hat[t] = next(walk)
+    walk = _ghost_blocks(trace)
+    lo = 0
+    while lo < len(u):
+        u_rows, x_rows = next(walk)
+        u[lo : lo + len(u_rows)], x_hat[lo : lo + len(x_rows)] = u_rows, x_rows
+        lo += len(u_rows)
     return GhostTrace(u=u, x_hat=x_hat, final_x_hat=next(walk), source=trace)
 
 
@@ -145,9 +191,10 @@ def residual_closed_form(
 
     delta_bar_hist rows are steps s = 0, 1, ..., T - 1; row 0 is the (zero)
     residual of the uncompressed warm-start step.  Returns an iterator over
-    the predictions for t = 0, 1, ..., T that keeps O(d) state: the running
-    sums Q and H of the module docstring.  Valid for beta = 1 and a constant
-    schedule; c2_sign selects the sign of the c2 term.
+    the predictions for t = 0, 1, ..., T, one row at a time.  It reads the
+    residuals a block of rows at a time and keeps the running sums Q and H
+    of the module docstring, so its state is O(d).  Valid for beta = 1 and a
+    constant schedule; c2_sign selects the sign of the c2 term.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
@@ -158,16 +205,26 @@ def residual_closed_form(
 
 def _running_sums(delta_bar_hist, w0, w1, w2, alpha, gamma):
     # D_s = w0 delta_bar_s - w1 delta_bar_{s-1} + w2 delta_bar_{s-2}
-    zero = np.zeros(delta_bar_hist.shape[1])
-    q, h = zero, zero
-    prev_1 = prev_2 = zero  # delta_bar_{s-1} and delta_bar_{s-2}
-    yield zero
-    for delta in delta_bar_hist:
-        d = w0 * delta - w1 * prev_1 + w2 * prev_2
-        q = q + d
-        h = (1.0 - alpha) * (h + d)
-        prev_1, prev_2 = delta, prev_1
-        yield (gamma / alpha) * (q - h)
+    steps, dim = delta_bar_hist.shape
+    rows = max(1, BLOCK // dim)
+    keep = 1.0 - alpha
+    q = h = np.zeros(dim)
+    # A block's residuals after the two rows before it (zeros before row 0).
+    window = np.zeros((2, dim))
+    yield np.zeros(dim)
+    for lo in range(0, steps, rows):
+        window = np.concatenate((window[-2:], delta_bar_hist[lo : lo + rows]))
+        d = w0 * window[2:]
+        d -= w1 * window[1:-1]
+        d += w2 * window[:-2]
+        h_rows = np.empty_like(d)
+        for h_row, d_row in zip(h_rows, d):
+            h = np.multiply(np.add(h, d_row, out=h_row), keep, out=h_row)
+        d[0] += q
+        q = np.add.accumulate(d, axis=0, out=d)[-1]
+        predicted = d - h_rows
+        predicted *= gamma / alpha
+        yield from predicted
 
 
 @dataclass
@@ -191,12 +248,15 @@ def verify_residual_identity(trace: RunTrace, tolerance: float = 1e-9) -> Identi
     identity; raises VerificationError if neither does.  Requires beta = 1
     and a constant schedule (the closed form assumes both).
 
-    One forward pass: the ghost recursion and, for each sign, the running
-    sums Q_t and H_t of the combined residual D_s advance in lockstep.  Only
-    the running maxima of ||x_t - xhat_t|| and of each sign's
-    ||(x_t - xhat_t) - predicted_t|| are kept, so the check holds O(d)
-    state whatever the horizon.  A sign's relative error is its largest gap
-    over the largest observed norm.
+    One forward pass over the history in blocks of rows (see the module
+    docstring): the ghost recursion and, through one residual_closed_form
+    per sign, the running sums Q_t and H_t of the combined residual D_s
+    advance in lockstep.  Only the running maxima of ||x_t - xhat_t|| and of
+    each sign's ||(x_t - xhat_t) - predicted_t|| are kept, so the check holds
+    O(d) state, and at most a block of BLOCK elements per array, whatever the
+    horizon.  A sign's relative error is its largest gap over the largest
+    observed norm.  Each norm is sqrt(v.dot(v)), the bits of np.linalg.norm
+    on a 1-d vector.
     """
     config = trace.config
     if config.scheme.beta != 1.0:
@@ -207,18 +267,17 @@ def verify_residual_identity(trace: RunTrace, tolerance: float = 1e-9) -> Identi
 
     alpha = config.schedule.at(1)
     coefficients = (*scheme_coefficients(config.scheme, alpha), alpha, config.gamma)
-    hist = trace.history
-    predictions = {
-        sign: residual_closed_form(hist.delta_bar, *coefficients, c2_sign=sign) for sign in (1, -1)
-    }
-    scale = 0.0
-    worst = dict.fromkeys(predictions, 0.0)
-    for observed in _ghost_gaps(trace):
-        scale = max(scale, float(np.linalg.norm(observed)))
-        for sign, rows in predictions.items():
-            worst[sign] = max(worst[sign], float(np.linalg.norm(observed - next(rows))))
+    closed_forms = [
+        residual_closed_form(trace.history.delta_bar, *coefficients, c2_sign=sign) for sign in (1, -1)
+    ]
+    scale = worst_plus = worst_minus = 0.0
+    for gaps in _ghost_gaps(trace):
+        for observed, plus, minus in zip(gaps, *closed_forms):
+            scale = max(scale, _norm(observed))
+            worst_plus = max(worst_plus, _norm(observed - plus))
+            worst_minus = max(worst_minus, _norm(observed - minus))
     scale = max(scale, _TINY)
-    errors = {sign: gap / scale for sign, gap in worst.items()}
+    errors = {1: worst_plus / scale, -1: worst_minus / scale}
 
     plus_ok = errors[1] <= tolerance
     minus_ok = errors[-1] <= tolerance

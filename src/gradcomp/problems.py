@@ -369,17 +369,12 @@ def partition_data(problem, n: int, seed: int, heterogeneity: float = 0.0) -> li
     heterogeneity 0 gives an iid random split; 1 sorts samples by target
     before the contiguous split (maximally non-iid); values between blend
     the two orderings by ranking a convex combination of normalized target
-    rank and uniform noise.
+    rank and uniform noise.  n and heterogeneity are the values RunConfig
+    admits: 1 <= n <= n_samples and heterogeneity in [0, 1].
     """
-    if n < 1:
-        raise ConfigError(f"need at least one worker, got {n}")
-    if not 0.0 <= heterogeneity <= 1.0:
-        raise ConfigError(f"heterogeneity must be in [0, 1], got {heterogeneity}")
     if problem.n_samples == 0:
         return [Shard(worker=i, indices=None) for i in range(n)]
     n_samples = problem.n_samples
-    if n > n_samples:
-        raise ConfigError(f"cannot split {n_samples} samples across {n} workers")
     rng = keyed_generator(seed, STREAM_PARTITION, n)
     target_rank = np.empty(n_samples)
     target_rank[np.argsort(problem.target(), kind="stable")] = np.arange(n_samples)

@@ -301,7 +301,7 @@ class RunTrace:
         return measured_epsilon(self.delta_bar_norm)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
     """One step's outcome; run_step fills a_bar and e_bar only when the run records history."""
 

@@ -8,6 +8,7 @@ below stay inside that zone on purpose; the boundary test documents what
 happens outside it.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -57,13 +58,6 @@ def test_compress_rejects_bad_shapes():
         compress(np.zeros((2, 0)), CompressorSpec("identity"))
     with pytest.raises(ConfigError):
         compress(np.array([]), CompressorSpec("identity"))
-
-
-def test_k_larger_than_dimension_is_an_error():
-    with pytest.raises(ConfigError):
-        compress(np.ones(3), CompressorSpec("top_k", k=4))
-    with pytest.raises(ConfigError):
-        compress(np.ones(3), CompressorSpec("rand_k", k=4))
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +437,14 @@ def check_stack_against_rows(x, spec, step):
         assert stacked.residual.tobytes() == rows[1].tobytes(), f"{label} {layout}"
 
 
-# d = 5000 signs 9 rows in blocks of 6 and 3; wider rows are tiled within the row.
-@pytest.mark.parametrize("d", [1, 20, 5000, 70_001, 2**18])
-@pytest.mark.parametrize("m", [1, 2, 9])
+# one_bit signs a stack of at most SIGN_TILE elements in one call (2 x 5000,
+# and 2 x SIGN_TILE / 2 at the bound).  Past it, 9 x 5000 is signed in row
+# blocks of 6 and 3, 3 x 10 923 (SIGN_TILE + 1) in blocks of 2 and 1, and
+# wider rows are tiled within the row.
+@pytest.mark.parametrize(
+    "m,d",
+    [*itertools.product((1, 2, 9), (1, 20, 5000, 70_001, 2**18)), (2, SIGN_TILE // 2), (3, 10_923)],
+)
 def test_a_stack_compresses_to_the_bytes_of_one_call_per_row(m, d):
     x = stack_with_specials(m, d, np.random.default_rng(m * 1000 + d))
     with np.errstate(all="ignore"):

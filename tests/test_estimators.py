@@ -158,12 +158,6 @@ def test_igt_evaluates_at_the_extrapolated_point():
     assert np.allclose(seen[0], x + shift * (x - x_prev), atol=1e-15)
 
 
-def test_eval_a_rejects_nonpositive_alpha():
-    est = Estimator(kind="momentum", schedule=AlphaSchedule(kind="constant", alpha=0.5))
-    with pytest.raises(ConfigError):
-        est.eval_a(np.zeros(2), HANDLE, 0.0, linear_oracle(np.eye(2)))
-
-
 # ---------------------------------------------------------------------------
 # blending
 
@@ -290,10 +284,3 @@ def test_init_v0_memory_on_one_coordinate_does_not_grow_with_b0():
     # The stacked draws alone would take b0 * 8 bytes = 800 kB.
     assert peak < 64 * 1024
 
-
-def test_init_v0_validates_counts():
-    grad = linear_oracle(np.eye(2))
-    with pytest.raises(ConfigError):
-        init_v0(np.zeros(2), b0=0, grad=grad)
-    with pytest.raises(ConfigError):
-        init_v0(np.zeros(2), b0=2, grad=grad, n_workers=0)

@@ -94,6 +94,32 @@ def test_residuals_include_the_final_iterate_row():
     assert ghost.residuals().shape == (31, LIN.dim)
 
 
+def row_by_row_ghost(trace):
+    """The ghost recursion one history row at a time: the reference that the
+    block-wise pulls a_t * b_t and x_hat sums must match bit for bit."""
+    hist, schedule, gamma = trace.history, trace.config.schedule, trace.config.gamma
+    u, x_hat = [trace.v0], [trace.x0]
+    for t in range(1, len(hist.x)):
+        a_t = schedule.at(t)
+        x_hat.append(x_hat[-1] - gamma * u[-1])
+        u.append((1.0 - a_t) * u[-1] + a_t * hist.a_bar[t])
+    return np.array(u), np.array(x_hat), x_hat[-1] - gamma * u[-1]
+
+
+# Blocks of oracle.BLOCK = 4096 elements: at d = 300 the 44 rows after row 0
+# make three blocks of 13 rows and a partial one; d = 5000 takes one row per
+# block.  A decaying schedule gives every row its own a_t.
+@pytest.mark.parametrize("dim,steps", [(300, 45), (5000, 6)])
+def test_ghost_run_has_the_bits_of_the_row_by_row_recursion(dim, steps):
+    trace = quadratic_run(dim, steps, schedule=AlphaSchedule(kind="inverse_linear", c0=0.3),
+                          scheme=SchemeSpec("two_step", beta=0.4))
+    ghost = ghost_run(trace)
+    u, x_hat, final_x_hat = row_by_row_ghost(trace)
+    assert ghost.u.tobytes() == u.tobytes()
+    assert ghost.x_hat.tobytes() == x_hat.tobytes()
+    assert ghost.final_x_hat.tobytes() == final_x_hat.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # closed form on a synthetic residual history
 
@@ -138,6 +164,39 @@ def test_every_closed_form_row_matches_the_hand_expanded_sums(kind, c2_sign):
     for t, got in enumerate(rows[2:], start=2):
         expected = hand_expanded(d, *coefficients, alpha_c, gamma, t, c2_sign)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), t
+
+
+def row_by_row_closed_form(d, eta1, eta2, c1, c2, alpha, gamma, c2_sign):
+    """The closed form's running sums one residual row at a time: the
+    reference that the block-wise D, Q and predictions must match bit for bit."""
+    w0, w1, w2 = eta1, eta2 * c1, c2_sign * eta2 * c2
+    q = h = prev_1 = prev_2 = np.zeros(d.shape[1])
+    rows = [q]
+    for delta in d:
+        step = w0 * delta - w1 * prev_1 + w2 * prev_2
+        q = q + step
+        h = (1.0 - alpha) * (h + step)
+        prev_1, prev_2 = delta, prev_1
+        rows.append((gamma / alpha) * (q - h))
+    return rows
+
+
+# Blocks of oracle.BLOCK = 4096 elements: 10 columns make blocks of 409 rows,
+# so 1000 rows end in a partial block; 2048 columns make blocks of two rows;
+# 4096 and 5000 columns make blocks of one row, so the second block still
+# reads a residual two steps back as zero.
+@pytest.mark.parametrize("steps,dim", [(1, 3), (1000, 10), (9, 2048), (5, 4096), (2, 5000), (4, 5000)])
+@pytest.mark.parametrize("c2_sign", [1, -1])
+@pytest.mark.parametrize("kind", ["none", "single", "two_step"])
+def test_closed_form_rows_have_the_bits_of_the_row_by_row_recursion(kind, c2_sign, steps, dim):
+    rng = np.random.default_rng(steps * dim)
+    d = rng.standard_normal((steps, dim)) * rng.choice([1e-300, 1.0, 1e200], (steps, dim))
+    d.flat[rng.choice(d.size, 5)] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+    coefficients = scheme_coefficients(SchemeSpec(kind), 0.3)
+    with np.errstate(all="ignore"):
+        got = np.array(list(residual_closed_form(d, *coefficients, 0.3, 0.05, c2_sign=c2_sign)))
+        expected = np.array(row_by_row_closed_form(d, *coefficients, 0.3, 0.05, c2_sign))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_closed_form_validates_inputs():

@@ -240,16 +240,6 @@ def test_full_heterogeneity_sorts_shards_by_target():
     )
 
 
-def test_partition_validates_inputs():
-    problem = make_problem(LIN)
-    with pytest.raises(ConfigError):
-        partition_data(problem, 0, seed=0)
-    with pytest.raises(ConfigError):
-        partition_data(problem, 2, seed=0, heterogeneity=1.5)
-    with pytest.raises(ConfigError):
-        partition_data(problem, LIN.n_samples + 1, seed=0)
-
-
 def test_sample_free_problems_get_empty_shards():
     problem = make_problem(QUAD)
     shards = partition_data(problem, 3, seed=0)

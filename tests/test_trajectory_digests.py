@@ -14,9 +14,22 @@ and numpy's Philox streams alone.
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
-from gradcomp import AlphaSchedule, CompressorSpec, ProblemSpec, RunConfig, SchemeSpec, ghost_run, run
+from gradcomp import (
+    AlphaSchedule,
+    CompressorSpec,
+    DivergenceError,
+    ProblemSpec,
+    RunConfig,
+    SchemeSpec,
+    VerificationError,
+    ghost_run,
+    run,
+    verify_residual_identity,
+)
+from gradcomp.oracle import ghost_gap_norms
 from test_simulator import trace_bytes
 
 PROBLEM = ProblemSpec(kind="quadratic", spectrum=(1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005))
@@ -529,3 +542,118 @@ def test_dataset_digest_is_pinned(cell):
 @pytest.mark.parametrize("case", QUADRATIC_CASES)
 def test_quadratic_case_digest_is_pinned(case):
     assert trace_digest(quadratic_config(**QUADRATIC_CASES[case])) == PINNED_DATASETS[case]
+
+
+# The residual-identity oracle's outputs, as its row-by-row forward pass
+# computed them.  A lin_reg grid at d = 10 (exact compressors are left
+# out: their gaps are rounding alone), the oracle-replay benchmark's own
+# config, and a quadratic wide enough that a block holds a single row.
+# gamma = 0.5 makes eight of the lin_reg runs diverge; their partial traces
+# are checked as they stand.
+ORACLE_LIN = ProblemSpec(kind="lin_reg", dim=10, n_samples=64, noise_std=0.1, batch_size=3, seed=5)
+ORACLE_COMPRESSORS = {
+    "one_bit": CompressorSpec("one_bit"),
+    "top_k": CompressorSpec("top_k", k=3),
+    "rand_k": CompressorSpec("rand_k", k=4),
+}
+ORACLE_GRID = list(itertools.product(("none", "single", "two_step"), (0.1, 0.5), ORACLE_COMPRESSORS, (1, 4)))
+ORACLE_CASES = {
+    **{
+        f"lin_reg/{scheme}/a{alpha}/{compressor}/n{n}": dict(
+            problem=ORACLE_LIN,
+            schedule=AlphaSchedule("constant", alpha=alpha),
+            scheme=SchemeSpec(scheme, beta=1.0),
+            compressor=ORACLE_COMPRESSORS[compressor],
+            n_workers=n,
+            steps=150,
+            gamma=0.5,
+            b0=2,
+            seed=11,
+        )
+        for scheme, alpha, compressor, n in ORACLE_GRID
+    },
+    "oracle_replay/T300": dict(
+        problem=ProblemSpec(kind="lin_reg", dim=256, n_samples=4096, noise_std=0.1, condition=100.0,
+                            batch_size=8, seed=3),
+        schedule=AlphaSchedule("constant", alpha=0.1),
+        scheme=SchemeSpec("two_step", beta=1.0),
+        compressor=CompressorSpec("one_bit"),
+        n_workers=4,
+        steps=300,
+        gamma=0.01,
+        b0=8,
+        seed=7,
+    ),
+    "quadratic/two_step/d5000": dict(
+        problem=ProblemSpec(kind="quadratic", spectrum=tuple(np.geomspace(1.0, 0.01, 5000))),
+        schedule=AlphaSchedule("constant", alpha=0.5),
+        scheme=SchemeSpec("two_step", beta=1.0),
+        compressor=CompressorSpec("one_bit"),
+        n_workers=2,
+        steps=40,
+        gamma=0.1,
+    ),
+}
+
+# name -> sha256 of the IdentityReport's repr (or the VerificationError's
+# message) and the run's ghost_gap_norms, first 16 hex digits.
+PINNED_ORACLE = {
+    "lin_reg/none/a0.1/one_bit/n1": "c9c40723d798e3d6",
+    "lin_reg/none/a0.1/one_bit/n4": "d66a02e4a8cc7ea6",
+    "lin_reg/none/a0.1/top_k/n1": "456c8623b171b376",
+    "lin_reg/none/a0.1/top_k/n4": "6f922fba844aee51",
+    "lin_reg/none/a0.1/rand_k/n1": "7290b22b347c940c",
+    "lin_reg/none/a0.1/rand_k/n4": "06e76bb3c40d7d0a",
+    "lin_reg/none/a0.5/one_bit/n1": "64bb95545da60c02",
+    "lin_reg/none/a0.5/one_bit/n4": "4adae50b182c46bd",
+    "lin_reg/none/a0.5/top_k/n1": "b682b72f2b79bfc1",
+    "lin_reg/none/a0.5/top_k/n4": "4b5384a3d1be6b3b",
+    "lin_reg/none/a0.5/rand_k/n1": "dff27f8393b12a14",
+    "lin_reg/none/a0.5/rand_k/n4": "78e42dca84b4e285",
+    "lin_reg/single/a0.1/one_bit/n1": "adafa0f6c6befe00",
+    "lin_reg/single/a0.1/one_bit/n4": "7a6293c292cfdb94",
+    "lin_reg/single/a0.1/top_k/n1": "f881cd20fbc5c5e2",
+    "lin_reg/single/a0.1/top_k/n4": "ee7ee9077571e4ef",
+    "lin_reg/single/a0.1/rand_k/n1": "c1910b68afec80e3",
+    "lin_reg/single/a0.1/rand_k/n4": "c225f87984dd49af",
+    "lin_reg/single/a0.5/one_bit/n1": "e919ed26de377d81",
+    "lin_reg/single/a0.5/one_bit/n4": "67ff8e586813b35c",
+    "lin_reg/single/a0.5/top_k/n1": "1619009f76265ef3",
+    "lin_reg/single/a0.5/top_k/n4": "c14dc0b91c64cca5",
+    "lin_reg/single/a0.5/rand_k/n1": "78b21664fe464f0a",
+    "lin_reg/single/a0.5/rand_k/n4": "2202ab6963066d92",
+    "lin_reg/two_step/a0.1/one_bit/n1": "ebcd60ab9bbe1dba",
+    "lin_reg/two_step/a0.1/one_bit/n4": "2eb94220c52ee2bd",
+    "lin_reg/two_step/a0.1/top_k/n1": "9df7e507fb98bfb7",
+    "lin_reg/two_step/a0.1/top_k/n4": "72fc9428fa3a1782",
+    "lin_reg/two_step/a0.1/rand_k/n1": "c844e1d9bcdd1296",
+    "lin_reg/two_step/a0.1/rand_k/n4": "159c84a633256f6b",
+    "lin_reg/two_step/a0.5/one_bit/n1": "b882cb0d4523a0b8",
+    "lin_reg/two_step/a0.5/one_bit/n4": "eca465c9c1c509bd",
+    "lin_reg/two_step/a0.5/top_k/n1": "6d48170c942449a1",
+    "lin_reg/two_step/a0.5/top_k/n4": "de1a86b43f69ab4b",
+    "lin_reg/two_step/a0.5/rand_k/n1": "95b93e213f5dc405",
+    "lin_reg/two_step/a0.5/rand_k/n4": "a8103ab796ad0dcc",
+    "oracle_replay/T300": "bbd775123a35ff2b",
+    "quadratic/two_step/d5000": "6e00705a48a9a026",
+}
+
+
+def oracle_digest(case: str) -> str:
+    config = RunConfig(estimator="momentum", record_history=True, **ORACLE_CASES[case])
+    try:
+        trace = run(config)
+    except DivergenceError as exc:
+        trace = exc.trace
+    try:
+        outcome = repr(verify_residual_identity(trace))
+    except VerificationError as exc:
+        outcome = str(exc)
+    sha = hashlib.sha256(outcome.encode())
+    sha.update(np.fromiter(ghost_gap_norms(trace), dtype=np.float64).tobytes())
+    return sha.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_digest_is_pinned(case):
+    assert oracle_digest(case) == PINNED_ORACLE[case]
